@@ -6,20 +6,19 @@
 ///
 /// \file
 /// Per-procedure solver benchmark across the SAT-core configurations:
-/// the default (lazy array instantiation + clause deletion + theory
-/// propagation), --eager-arrays (up-front array demand closure),
-/// --no-reduce-db (learned clauses kept forever) and --no-theory-prop
-/// (lazy full-model theory checks only). For every target procedure and
-/// configuration it reports wall-clock seconds plus the solver counters
-/// that explain the difference — conflicts, propagations, lemmas
-/// deleted, reduceDB sweeps, restarts, lazy instantiations, theory
-/// propagations — and writes everything to BENCH_solver.json.
+/// the default (clause deletion + theory propagation), --no-reduce-db
+/// (learned clauses kept forever) and --no-theory-prop (lazy full-model
+/// theory checks only). For every target procedure and configuration it
+/// reports wall-clock seconds plus the solver counters that explain the
+/// difference — conflicts, propagations, lemmas deleted, reduceDB
+/// sweeps, restarts, theory propagations — and writes everything to
+/// BENCH_solver.json.
 ///
-/// The run doubles as a differential check: the four configurations
-/// must agree on every verdict (a lazy-mode, deletion- or
-/// propagation-induced verdict flip is exactly the regression this
-/// benchmark exists to catch), and any disagreement or Failed verdict
-/// makes the exit code nonzero.
+/// The run doubles as a differential check: the three configurations
+/// must agree on every verdict (a deletion- or propagation-induced
+/// verdict flip is exactly the regression this benchmark exists to
+/// catch), and any disagreement or Failed verdict makes the exit code
+/// nonzero.
 ///
 /// Usage: bench_solver [benchmark:procedure ...]
 /// Default targets are the two heaviest procedures of the suite
@@ -48,18 +47,16 @@ struct Target {
 
 struct ConfigSpec {
   const char *Name;
-  bool LazyArrays;
   bool ReduceDb;
   bool TheoryProp;
 };
 
-// The four corners that matter: the production solver, and one
-// baseline per tentpole feature (each disables exactly one of them).
+// The corners that matter: the production solver, and one baseline per
+// SAT-core feature (each disables exactly one of them).
 const ConfigSpec Configs[] = {
-    {"default", true, true, true},
-    {"eager-arrays", false, true, true},
-    {"no-reduce-db", true, false, true},
-    {"no-theory-prop", true, true, false},
+    {"default", true, true},
+    {"no-reduce-db", false, true},
+    {"no-theory-prop", true, false},
 };
 
 const char *statusName(driver::Status St) {
@@ -78,8 +75,8 @@ const char *statusName(driver::Status St) {
 // per-procedure cost under that configuration.
 const char *const CounterKeys[] = {
     "smt.conflicts",      "smt.propagations",     "smt.lemmas_deleted",
-    "smt.reduce_db_sweeps", "smt.restarts",       "smt.lazy_instantiations",
-    "smt.decisions",      "smt.theory_checks",    "smt.theory_propagations",
+    "smt.reduce_db_sweeps", "smt.restarts",       "smt.decisions",
+    "smt.theory_checks",  "smt.theory_propagations",
     "smt.propagation_conflicts", "smt.cc_registrations_reused",
 };
 
@@ -148,7 +145,6 @@ int main(int Argc, char **Argv) {
       // Solver-only measurement: the impact checks are a separate,
       // uniformly cheap workload and would just add noise here.
       Opts.CheckImpacts = false;
-      Opts.LazyArrays = C.LazyArrays;
       Opts.ReduceDb = C.ReduceDb;
       Opts.TheoryProp = C.TheoryProp;
       // Same guard rails as bench_table2: a configuration that cannot
@@ -195,22 +191,20 @@ int main(int Argc, char **Argv) {
       Runs.push(std::move(Run));
 
       printf("  %-14s %-9s %8.2fs  conflicts=%llu propagations=%llu "
-             "lemmas_deleted=%llu lazy_inst=%llu theory_props=%llu "
-             "theory_checks=%llu\n",
+             "lemmas_deleted=%llu theory_props=%llu theory_checks=%llu\n",
              C.Name, statusName(P->St), Seconds,
              (unsigned long long)(After[0] - Before[0]),
              (unsigned long long)(After[1] - Before[1]),
              (unsigned long long)(After[2] - Before[2]),
-             (unsigned long long)(After[5] - Before[5]),
-             (unsigned long long)(After[8] - Before[8]),
-             (unsigned long long)(After[7] - Before[7]));
+             (unsigned long long)(After[7] - Before[7]),
+             (unsigned long long)(After[6] - Before[6]));
 
       if (P->St == driver::Status::Failed)
         Ok = false;
       if (FirstStatus.empty())
         FirstStatus = statusName(P->St);
       else if (FirstStatus != statusName(P->St)) {
-        // The whole point of the matrix: all three solver
+        // The whole point of the matrix: every solver
         // configurations must reach the same verdict.
         fprintf(stderr,
                 "VERDICT MISMATCH on %s:%s — '%s' under default, '%s' "

@@ -87,9 +87,6 @@ const char *driver::usageText() {
       "             --no-incremental (disable shared-prefix batching on\n"
       "                      incremental solver contexts; every query then\n"
       "                      gets a fresh one-shot solve)\n"
-      "             --eager-arrays (instantiate the array-lemma closure\n"
-      "                      up front instead of lazily from inside the\n"
-      "                      search; the lazy mode's differential baseline)\n"
       "             --no-reduce-db (disable activity-based learned-clause\n"
       "                      deletion in the SAT core)\n"
       "             --no-theory-prop (disable DPLL(T) theory propagation\n"
@@ -166,8 +163,6 @@ CliArgs driver::parseCli(int Argc, const char *const *Argv) {
       A.Opts.CacheQueries = false;
     } else if (Arg == "--no-incremental") {
       A.Opts.Incremental = false;
-    } else if (Arg == "--eager-arrays") {
-      A.Opts.LazyArrays = false;
     } else if (Arg == "--no-reduce-db") {
       A.Opts.ReduceDb = false;
     } else if (Arg == "--no-theory-prop") {

@@ -47,10 +47,9 @@ static void printPipelineStats(const pipeline::Stats &St) {
          St.MaxArrayLemmas);
   if (St.PrefixGroups > 0)
     printf("    incremental: %u prefix groups, %u context reuses, "
-           "%llu lemmas retained, %llu lazy array lemmas, %u sat rechecks\n",
+           "%llu lemmas retained, %u sat rechecks\n",
            St.PrefixGroups, St.ContextReuses,
-           (unsigned long long)St.LemmasRetained,
-           (unsigned long long)St.LazyArrayLemmas, St.IncrSatRechecks);
+           (unsigned long long)St.LemmasRetained, St.IncrSatRechecks);
 }
 
 /// Registry-comparable status key; must produce exactly the strings

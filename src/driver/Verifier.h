@@ -99,10 +99,6 @@ struct VerifyOptions {
   /// Shared-prefix obligation batching on incremental solver contexts;
   /// --no-incremental falls back to a fresh one-shot solve per query.
   bool Incremental = true;
-  /// Lazy in-search array instantiation inside batch contexts;
-  /// --eager-arrays restores the up-front demand closure (the
-  /// differential baseline for the lazy mode).
-  bool LazyArrays = true;
   /// Activity-based learned-clause deletion in the SAT core;
   /// --no-reduce-db disables it (differential baseline).
   bool ReduceDb = true;

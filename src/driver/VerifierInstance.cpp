@@ -17,6 +17,7 @@
 
 #include "driver/VerifierInstance.h"
 
+#include "support/AppendLog.h"
 #include "support/Trace.h"
 #include "vcgen/VcGen.h"
 
@@ -47,7 +48,6 @@ pipeline::Options pipelineOptions(const VerifyOptions &Opts) {
   P.CrossCheckQf = Opts.CrossCheckQf;
   P.MaxTheoryChecks = Opts.MaxTheoryChecks;
   P.QueryTimeoutSeconds = Opts.QueryTimeoutSeconds;
-  P.LazyArrays = Opts.LazyArrays;
   P.ReduceDb = Opts.ReduceDb;
   P.TheoryProp = Opts.TheoryProp;
   return P;
@@ -164,27 +164,17 @@ bool VerifierInstance::attachCacheDir(const std::string &Dir,
     Error = "verdict cache already attached to a directory";
     return false;
   }
-  std::string Path = Dir + "/" + VerdictFileName;
-  bool Fresh = true;
-  if (std::FILE *In = fopen(Path.c_str(), "rb")) {
-    char Header[32] = {0};
-    if (fgets(Header, sizeof(Header), In) &&
-        std::string(Header) == std::string(VerdictHeader) + "\n") {
-      InstStats.VerdictsLoadedFromDisk = loadVerdictsLocked(In);
-      Fresh = false;
-    }
-    fclose(In);
-  }
-  VerdictAppend = fopen(Path.c_str(), Fresh ? "wb" : "ab");
-  if (!VerdictAppend) {
-    Error = "cannot open verdict file '" + Path + "' for writing";
-    return false;
-  }
-  // Unbuffered: each appendVerdictLocked record is a single write(2).
-  setvbuf(VerdictAppend, nullptr, _IONBF, 0);
-  if (Fresh)
-    fprintf(VerdictAppend, "%s\n", VerdictHeader);
-  return true;
+  // Each appendVerdictLocked record is a single write(2) on the log's
+  // unbuffered O_APPEND stream.
+  VerdictAppend = appendlog::attach(Dir + "/" + VerdictFileName,
+                                    VerdictHeader,
+                                    [this](std::FILE *In) {
+                                      InstStats.VerdictsLoadedFromDisk =
+                                          loadVerdictsLocked(In);
+                                    },
+                                    Error)
+                      .Append;
+  return VerdictAppend != nullptr;
 }
 
 std::string VerifierInstance::cacheSummary() const {

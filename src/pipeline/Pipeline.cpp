@@ -59,8 +59,6 @@ const StatsRow StatsRows[] = {
      [](const Stats &S) { return uint64_t(S.ContextReuses); }, false},
     {"lemmas_retained",
      [](const Stats &S) { return uint64_t(S.LemmasRetained); }, false},
-    {"lazy_array_lemmas",
-     [](const Stats &S) { return uint64_t(S.LazyArrayLemmas); }, false},
     {"theory_propagations",
      [](const Stats &S) { return S.TheoryPropagations; }, false},
     {"propagation_conflicts",
@@ -117,7 +115,6 @@ void Stats::merge(const Stats &O) {
   PrefixGroups += O.PrefixGroups;
   ContextReuses += O.ContextReuses;
   LemmasRetained += O.LemmasRetained;
-  LazyArrayLemmas += O.LazyArrayLemmas;
   TheoryPropagations += O.TheoryPropagations;
   PropagationConflicts += O.PropagationConflicts;
   CcRegistrationsReused += O.CcRegistrationsReused;
@@ -219,8 +216,6 @@ public:
       St.ContextReuses += static_cast<unsigned>(G.size() - 1);
     St.LemmasRetained += GroupLemmasRetained.exchange(0,
                                                       std::memory_order_relaxed);
-    St.LazyArrayLemmas += GroupLazyLemmas.exchange(0,
-                                                   std::memory_order_relaxed);
     St.IncrSatRechecks += SatRechecks.exchange(0, std::memory_order_relaxed);
     St.TheoryPropagations += GroupTheoryProps.exchange(
         0, std::memory_order_relaxed);
@@ -437,7 +432,6 @@ private:
           SOpts.AllowQuantifiers = false;
           SOpts.MaxTheoryChecks = Opts.MaxTheoryChecks;
           SOpts.TimeoutSeconds = Opts.QueryTimeoutSeconds;
-          SOpts.LazyArrayInstantiation = Opts.LazyArrays;
           SOpts.ClauseDeletion = Opts.ReduceDb;
           SOpts.TheoryPropagation = Opts.TheoryProp;
           GS->Ctx.reset(new SolverContext(GS->Local, SOpts));
@@ -482,8 +476,6 @@ private:
     Solver::Result R = Ctx.checkSat();
     const SolverContext::CheckStats &CS = Ctx.lastCheckStats();
     Ctx.pop();
-    GroupLazyLemmas.fetch_add(CS.LazyInstantiations,
-                              std::memory_order_relaxed);
     GroupTheoryProps.fetch_add(CS.TheoryPropagations,
                                std::memory_order_relaxed);
     GroupPropConflicts.fetch_add(CS.PropagationConflicts,
@@ -511,19 +503,9 @@ private:
       // its slow-query row is the member's one record.
       if (Sp.active())
         Sp.arg("escalating", 1.0);
-      JM.submit([this, &Queries, &Out, Idx] {
-        const uint64_t E0 = trace::nowUs();
-        bool GaveUp = false;
-        {
-          trace::ScopedSpan Esc("pipeline.escalate");
-          if (Esc.active()) {
-            Esc.arg("proc", Opts.TraceLabel);
-            Esc.arg("vc", vcHashHex(Queries[Idx]));
-          }
-          Out[Idx] = attempt(Queries[Idx], /*Eager=*/true, GaveUp);
-        }
-        Escalations.fetch_add(1, std::memory_order_relaxed);
-        double Sec = double(trace::nowUs() - E0) / 1e6;
+      JM.submit([this, &Queries, &Out, Idx, Batched] {
+        double Sec = 0;
+        Out[Idx] = escalate(Queries[Idx], Batched, Sec);
         maybeRecordSlow(Queries[Idx], Sec, Sec, Out[Idx], /*Batched=*/true);
       });
       finishQuerySpan(Sp, Queries[Idx], Batched, /*Batched=*/true);
@@ -554,32 +536,39 @@ private:
     bool GaveUp = false;
     QueryCache::Outcome O = attempt(Query, /*Eager=*/false, GaveUp);
     double EscalateSec = 0;
-    if (O.R == Solver::Result::Unknown && GaveUp) {
-      // Escalation: the relevancy-driven array instantiation gives up on
-      // a few query shapes (its model builder leaves extensional gaps).
-      // The blind product is quadratically bigger but decides them;
-      // Unknown is only reported once both attempts fail. Escalate only
-      // on a model give-up — a budget or timeout Unknown would just
-      // exhaust again on the larger query. The atom counters report the
-      // max of both attempts.
-      const uint64_t E0 = trace::nowUs();
-      {
-        trace::ScopedSpan Esc("pipeline.escalate");
-        if (Esc.active()) {
-          Esc.arg("proc", Opts.TraceLabel);
-          Esc.arg("vc", vcHashHex(Query));
-        }
-        QueryCache::Outcome O2 = attempt(Query, /*Eager=*/true, GaveUp);
-        O2.NumAtoms = std::max(O.NumAtoms, O2.NumAtoms);
-        O2.NumArrayLemmas = std::max(O.NumArrayLemmas, O2.NumArrayLemmas);
-        O = std::move(O2);
-      }
-      EscalateSec = double(trace::nowUs() - E0) / 1e6;
-      Escalations.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (O.R == Solver::Result::Unknown && GaveUp)
+      O = escalate(Query, O, EscalateSec);
     finishQuerySpan(Sp, Query, O, /*Batched=*/false);
     maybeRecordSlow(Query, double(trace::nowUs() - T0) / 1e6, EscalateSec, O,
                     /*Batched=*/false, Recheck);
+    return O;
+  }
+
+  /// Escalation of a model give-up (\p Prior, from the relevancy-driven
+  /// instantiation, whose model builder leaves extensional gaps on a few
+  /// query shapes): re-solves \p Query one-shot with the blind array
+  /// product, quadratically bigger but decisive on them. Unknown is only
+  /// reported once both attempts fail. Only model give-ups escalate — a
+  /// budget or timeout Unknown would just exhaust again on the larger
+  /// query. The atom and lemma counters report the max of both attempts;
+  /// \p Sec receives the escalation's wall time.
+  QueryCache::Outcome escalate(TermRef Query, const QueryCache::Outcome &Prior,
+                               double &Sec) {
+    const uint64_t T0 = trace::nowUs();
+    QueryCache::Outcome O;
+    {
+      trace::ScopedSpan Esc("pipeline.escalate");
+      if (Esc.active()) {
+        Esc.arg("proc", Opts.TraceLabel);
+        Esc.arg("vc", vcHashHex(Query));
+      }
+      bool GaveUp = false;
+      O = attempt(Query, /*Eager=*/true, GaveUp);
+    }
+    O.NumAtoms = std::max(Prior.NumAtoms, O.NumAtoms);
+    O.NumArrayLemmas = std::max(Prior.NumArrayLemmas, O.NumArrayLemmas);
+    Sec = double(trace::nowUs() - T0) / 1e6;
+    Escalations.fetch_add(1, std::memory_order_relaxed);
     return O;
   }
 
@@ -649,7 +638,6 @@ private:
   std::atomic<unsigned> Escalations{0};
   std::atomic<unsigned> SatRechecks{0};
   std::atomic<uint64_t> GroupLemmasRetained{0};
-  std::atomic<uint64_t> GroupLazyLemmas{0};
   std::atomic<uint64_t> GroupTheoryProps{0};
   std::atomic<uint64_t> GroupPropConflicts{0};
   std::atomic<uint64_t> GroupCcReused{0};

@@ -65,12 +65,6 @@ struct Options {
   bool CrossCheckQf = true;
   uint64_t MaxTheoryChecks = 0;
   double QueryTimeoutSeconds = 0;
-  /// Lazy in-search array instantiation for batched incremental contexts:
-  /// only select-rooted demands instantiate up front, the rest on the
-  /// first violating candidate model inside the CDCL loop
-  /// (--eager-arrays restores the up-front closure as the differential
-  /// baseline).
-  bool LazyArrays = true;
   /// Activity-based learned-clause deletion in the SAT core
   /// (--no-reduce-db disables, the differential baseline).
   bool ReduceDb = true;
@@ -96,7 +90,7 @@ struct Stats {
   unsigned CacheHits = 0;
   /// Sat answers on sliced queries re-checked against the full guard.
   unsigned SliceFallbacks = 0;
-  /// Unknown answers retried with eager (blind) array instantiation.
+  /// Model give-ups retried with eager (blind) array instantiation.
   unsigned EscalatedQueries = 0;
   /// Shared-prefix batches formed (incremental mode; singleton batches
   /// fall back to one-shot solving and are not counted).
@@ -106,9 +100,6 @@ struct Stats {
   unsigned ContextReuses = 0;
   /// Learned theory lemmas retained across pops inside batch contexts.
   uint64_t LemmasRetained = 0;
-  /// Deferred array lemmas asserted from inside the CDCL loop (lazy
-  /// instantiation mode; 0 under --eager-arrays).
-  uint64_t LazyArrayLemmas = 0;
   /// Theory-propagation activity inside batch contexts (0 under
   /// --no-theory-prop): literals asserted from partial-trail entailment,
   /// conflicts caught before a full propositional model, and term

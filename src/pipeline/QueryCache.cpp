@@ -20,6 +20,7 @@
 
 #include "pipeline/QueryCache.h"
 
+#include "support/AppendLog.h"
 #include "support/Trace.h"
 
 #include <cinttypes>
@@ -79,12 +80,12 @@ QueryCache::DiskStats QueryCache::diskStats() const {
 
 void QueryCache::appendLocked(const Key &K, const Outcome &O) {
   // The whole record is marshalled into one buffer and handed to the
-  // unbuffered append stream as a SINGLE fwrite — one write(2) on an
-  // O_APPEND descriptor, which the kernel serializes at EOF. The mutex
-  // serializes writers within this process; the single-write record is
-  // what keeps concurrent --cache-dir PROCESSES from interleaving the
-  // multi-line Sat records mid-record (a torn tail from a crash is still
-  // possible and still tolerated by loadLocked).
+  // unbuffered append stream (support/AppendLog.h) as a SINGLE fwrite —
+  // one write(2) on an O_APPEND descriptor, which the kernel serializes
+  // at EOF. The mutex serializes writers within this process; the
+  // single-write record is what keeps concurrent --cache-dir PROCESSES
+  // from interleaving the multi-line Sat records mid-record (a torn tail
+  // from a crash is still possible and still tolerated by loadLocked).
   char Header[96];
   int Len;
   if (O.R == smt::Solver::Result::Sat)
@@ -152,34 +153,19 @@ bool QueryCache::attachDir(const std::string &Dir, std::string &Error) {
     Error = "cannot create cache directory '" + Dir + "': " + Ec.message();
     return false;
   }
-  std::string Path = Dir + "/" + FileName;
-  bool Fresh = true;
-  if (std::FILE *In = fopen(Path.c_str(), "rb")) {
-    char Header[32] = {0};
-    if (fgets(Header, sizeof(Header), In) &&
-        std::string(Header) == std::string(FileHeader) + "\n") {
-      Stats.LoadedFromDisk = loadLocked(In);
-      Fresh = false;
-    }
-    // Missing or mismatched header: a different format version (or not
-    // our file at all) — discard and start fresh below.
-    fclose(In);
-  }
-  Append = fopen(Path.c_str(), Fresh ? "wb" : "ab");
-  if (!Append) {
-    Error = "cannot open cache file '" + Path + "' for writing";
+  // A mismatched header (another format version, or not our file at
+  // all) discards the file: it is a cache.
+  appendlog::Attached Log = appendlog::attach(
+      Dir + "/" + FileName, FileHeader,
+      [this](std::FILE *In) { Stats.LoadedFromDisk = loadLocked(In); },
+      Error);
+  Append = Log.Append;
+  if (!Append)
     return false;
-  }
-  // Unbuffered: appendLocked marshals each record into one fwrite, and
-  // an unbuffered stream maps that to one write(2) — the record can't be
-  // split across syscalls and interleaved with another process's append.
-  setvbuf(Append, nullptr, _IONBF, 0);
-  if (Fresh) {
-    fprintf(Append, "%s\n", FileHeader);
-    // Entries inserted before attachDir (memory-only phase) are worth
-    // persisting too.
+  // Entries inserted before attachDir (memory-only phase) are worth
+  // persisting too.
+  if (Log.Created)
     for (const auto &KV : Map)
       appendLocked(KV.first, KV.second.O);
-  }
   return true;
 }

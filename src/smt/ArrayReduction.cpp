@@ -496,14 +496,14 @@ void ArrayReducer::collectNewSubterms(TermRef T, std::vector<TermRef> &Out) {
     collectNewSubterms(A, Out);
 }
 
-void ArrayReducer::demand(TermRef A, TermRef I, bool Seed) {
+void ArrayReducer::demand(TermRef A, TermRef I) {
   if (!A->getSort()->isArray() || A->getSort()->getKey() != I->getSort())
     return;
   if (!Need.insert({A, I}).second)
     return;
   Trail.push_back({Undo::NeedAdd, A, I});
   DemandedIndices[A].push_back(I);
-  Work.push_back({A, I, Seed});
+  Work.emplace_back(A, I);
 }
 
 void ArrayReducer::markUp(TermRef T) {
@@ -535,65 +535,47 @@ void ArrayReducer::markUp(TermRef T) {
   }
 }
 
-void ArrayReducer::emitLemma(TermRef L, bool Defer) {
+void ArrayReducer::emitLemma(TermRef L) {
   if (!EmittedLemmas.insert(L).second)
     return;
-  if (Defer) {
-    Trail.push_back({Undo::PendingAdd, L});
-    Pending.push_back(L);
-    return;
-  }
   Trail.push_back({Undo::LemmaAdd, L});
   NewLemmas.push_back(L);
   ++Stats.NumLemmas;
 }
 
-void ArrayReducer::markActivated(TermRef L) {
-  if (!Activated.insert(L).second)
-    return;
-  Trail.push_back({Undo::ActivatedAdd, L});
-  ++Stats.NumLemmas;
-}
-
-void ArrayReducer::emitReadOverComposite(TermRef A, TermRef I, bool Defer) {
+void ArrayReducer::emitReadOverComposite(TermRef A, TermRef I) {
   TermRef SelAI = TM.mkSelect(A, I);
   switch (A->getKind()) {
   case TermKind::Store: {
     TermRef Base = A->getArg(0), J = A->getArg(1), V = A->getArg(2);
     TermRef Same = TM.mkEq(I, J);
-    emitLemma(TM.mkImplies(Same, TM.mkEq(SelAI, V)), Defer);
+    emitLemma(TM.mkImplies(Same, TM.mkEq(SelAI, V)));
     emitLemma(TM.mkImplies(TM.mkNot(Same),
-                           TM.mkEq(SelAI, TM.mkSelect(Base, I))),
-              Defer);
+                           TM.mkEq(SelAI, TM.mkSelect(Base, I))));
     break;
   }
   case TermKind::ConstArray:
-    emitLemma(TM.mkEq(SelAI, A->getArg(0)), Defer);
+    emitLemma(TM.mkEq(SelAI, A->getArg(0)));
     break;
   case TermKind::MapOr:
     emitLemma(TM.mkEq(SelAI, TM.mkOr(TM.mkSelect(A->getArg(0), I),
-                                     TM.mkSelect(A->getArg(1), I))),
-              Defer);
+                                     TM.mkSelect(A->getArg(1), I))));
     break;
   case TermKind::MapAnd:
     emitLemma(TM.mkEq(SelAI, TM.mkAnd(TM.mkSelect(A->getArg(0), I),
-                                      TM.mkSelect(A->getArg(1), I))),
-              Defer);
+                                      TM.mkSelect(A->getArg(1), I))));
     break;
   case TermKind::MapDiff:
     emitLemma(TM.mkEq(SelAI,
                       TM.mkAnd(TM.mkSelect(A->getArg(0), I),
-                               TM.mkNot(TM.mkSelect(A->getArg(1), I)))),
-              Defer);
+                               TM.mkNot(TM.mkSelect(A->getArg(1), I)))));
     break;
   case TermKind::PwIte: {
     TermRef Guard = TM.mkSelect(A->getArg(0), I);
     emitLemma(TM.mkImplies(Guard,
-                           TM.mkEq(SelAI, TM.mkSelect(A->getArg(1), I))),
-              Defer);
+                           TM.mkEq(SelAI, TM.mkSelect(A->getArg(1), I))));
     emitLemma(TM.mkImplies(TM.mkNot(Guard),
-                           TM.mkEq(SelAI, TM.mkSelect(A->getArg(2), I))),
-              Defer);
+                           TM.mkEq(SelAI, TM.mkSelect(A->getArg(2), I))));
     break;
   }
   default:
@@ -606,9 +588,7 @@ void ArrayReducer::emitEqLemma(TermRef EqT, TermRef I) {
   TermRef SelEq = TM.mkEq(TM.mkSelect(A, I), TM.mkSelect(B, I));
   if (SelEq == TM.mkTrue())
     return;
-  // Read-over-equality lemmas are never select-rooted; in lazy mode they
-  // all wait for an in-search violation.
-  emitLemma(TM.mkImplies(EqT, SelEq), lazy());
+  emitLemma(TM.mkImplies(EqT, SelEq));
   // Equalities between nested (set-valued) selects chain transitively;
   // sort nesting is finite, so this terminates.
   if (SelEq->getKind() == TermKind::Eq &&
@@ -646,7 +626,7 @@ void ArrayReducer::considerEqAtom(TermRef EqT) {
 
 void ArrayReducer::processWork() {
   while (!Work.empty()) {
-    auto [A, I, Seed] = Work.back();
+    auto [A, I] = Work.back();
     Work.pop_back();
     switch (A->getKind()) {
     case TermKind::Store:
@@ -677,7 +657,7 @@ void ArrayReducer::processWork() {
         demand(Up, I);
     }
     if (isCompositeArray(A))
-      emitReadOverComposite(A, I, /*Defer=*/lazy() && !Seed);
+      emitReadOverComposite(A, I);
     if (auto It = ConstEqIndex.find(A); It != ConstEqIndex.end()) {
       std::vector<TermRef> Eqs = It->second;
       for (TermRef EqT : Eqs)
@@ -718,41 +698,18 @@ std::vector<TermRef> ArrayReducer::assertFormula(TermRef F) {
 
   for (TermRef T : Inputs) {
     const Sort *S = T->getSort();
-    if (S->isArray()) {
+    if (S->isArray())
       ++Stats.NumArrayTerms;
-      if (eager()) {
-        ArrayTermsBySort[S->getKey()].push_back(T);
-        Trail.push_back({Undo::ArrayTerm, T, nullptr, S->getKey()});
-        auto It = IndexTermsBySort.find(S->getKey());
-        if (It != IndexTermsBySort.end()) {
-          std::vector<TermRef> Idx = It->second;
-          for (TermRef I : Idx)
-            demand(T, I);
-        }
-      }
-    }
     if (T->getKind() == TermKind::Select || T->getKind() == TermKind::Store) {
       TermRef Index = T->getArg(1);
       const Sort *KeySort = T->getArg(0)->getSort()->getKey();
       if (IndexSeen.insert({KeySort, Index}).second) {
         Trail.push_back({Undo::IndexTerm, Index, nullptr, KeySort});
-        IndexTermsBySort[KeySort].push_back(Index);
         ++Stats.NumIndexTerms;
-        if (eager()) {
-          auto It = ArrayTermsBySort.find(KeySort);
-          if (It != ArrayTermsBySort.end()) {
-            std::vector<TermRef> Arrays = It->second;
-            for (TermRef A : Arrays)
-              demand(A, Index);
-          }
-        }
       }
     }
     if (T->getKind() == TermKind::Select)
-      // Select-rooted demands are the seeds: in lazy mode only these
-      // instantiate up front, everything the closure derives from them
-      // is parked as pending.
-      demand(T->getArg(0), T->getArg(1), /*Seed=*/true);
+      demand(T->getArg(0), T->getArg(1));
     if (T->getKind() == TermKind::Eq && T->getArg(0)->getSort()->isArray()) {
       TermRef A = T->getArg(0), B = T->getArg(1);
       EqAdj[A].push_back(B);
@@ -796,10 +753,6 @@ void ArrayReducer::pop() {
       break;
     case Undo::IndexTerm:
       IndexSeen.erase({U.S, U.A});
-      IndexTermsBySort[U.S].pop_back();
-      break;
-    case Undo::ArrayTerm:
-      ArrayTermsBySort[U.S].pop_back();
       break;
     case Undo::EqAdjPush:
       EqAdj[U.A].pop_back();
@@ -825,13 +778,6 @@ void ArrayReducer::pop() {
       break;
     case Undo::LemmaAdd:
       EmittedLemmas.erase(U.A);
-      break;
-    case Undo::PendingAdd:
-      EmittedLemmas.erase(U.A);
-      Pending.pop_back();
-      break;
-    case Undo::ActivatedAdd:
-      Activated.erase(U.A);
       break;
     }
   }

@@ -23,7 +23,6 @@
 
 #include "smt/Term.h"
 
-#include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -70,25 +69,13 @@ TermRef liftItes(TermManager &TM, TermRef Formula);
 /// Produces the same lemma SET as the one-shot reduceArrays for the same
 /// total assertion set (the closure rules are monotone, so incremental
 /// evaluation reaches the same fixpoint); only the emission order differs.
-/// The one-shot path is kept intact as the `--no-incremental` differential
-/// baseline.
+/// Every lemma of the closure is returned up front: its size depends only
+/// on the asserted VC, never on the search. The one-shot path is kept
+/// intact as the `--no-incremental` differential baseline and for the
+/// blind-product escalation.
 class ArrayReducer {
 public:
-  /// Instantiation strategy.
-  ///  - Demand: the relevancy-driven closure, every lemma asserted up
-  ///    front (the historical incremental default).
-  ///  - Eager: the blind composite-times-index product (escalation
-  ///    baseline, `--eager-arrays`).
-  ///  - Lazy: the closure still runs (so the demand/equality bookkeeping
-  ///    is identical), but only select-rooted instantiations are asserted
-  ///    up front; peeled and read-over-equality lemmas are parked in a
-  ///    pending pool and activated from inside the CDCL loop on the first
-  ///    candidate model that violates them (TheoryEngine).
-  enum class Mode { Demand, Eager, Lazy };
-
-  ArrayReducer(TermManager &TM, Mode M) : TM(TM), InstMode(M) {}
-
-  bool lazy() const { return InstMode == Mode::Lazy; }
+  explicit ArrayReducer(TermManager &TM) : TM(TM) {}
 
   /// Ingests an (ite-lifted, quantifier-free) assertion and returns the
   /// reduction lemmas newly required by it, given everything asserted on
@@ -102,23 +89,11 @@ public:
 
   const ArrayReductionStats &stats() const { return Stats; }
 
-  /// Lazy mode: the deferred lemmas of all active levels, in emission
-  /// order. Entries stay in the pool once activated (activation is a
-  /// separate, level-tracked record so a popped activation reverts the
-  /// lemma to pending without re-deriving it).
-  const std::vector<TermRef> &pendingLemmas() const { return Pending; }
-  bool isActivated(TermRef L) const { return Activated.count(L) != 0; }
-  /// Marks a pending lemma as asserted into the SAT core at the current
-  /// level. Counted in stats().NumLemmas at activation time, mirroring
-  /// when an up-front mode would have emitted it.
-  void markActivated(TermRef L);
-
 private:
   struct Undo {
     enum Kind : uint8_t {
       KnownTerm,
       IndexTerm,
-      ArrayTerm,
       EqAdjPush,
       UpEdgePush,
       UpSetAdd,
@@ -127,8 +102,6 @@ private:
       ConstEqPush,
       WitnessAdd,
       LemmaAdd,
-      PendingAdd,
-      ActivatedAdd,
     };
     Kind K;
     TermRef A = nullptr;
@@ -137,23 +110,19 @@ private:
   };
 
   void collectNewSubterms(TermRef T, std::vector<TermRef> &Out);
-  void demand(TermRef A, TermRef I, bool Seed = false);
+  void demand(TermRef A, TermRef I);
   void markUp(TermRef T);
   void considerEqAtom(TermRef EqT);
-  void emitReadOverComposite(TermRef A, TermRef I, bool Defer);
+  void emitReadOverComposite(TermRef A, TermRef I);
   void emitEqLemma(TermRef EqT, TermRef I);
-  void emitLemma(TermRef L, bool Defer = false);
+  void emitLemma(TermRef L);
   void processWork();
-  bool eager() const { return InstMode == Mode::Eager; }
 
   TermManager &TM;
-  const Mode InstMode;
   ArrayReductionStats Stats;
 
   std::unordered_set<TermRef> KnownTerms;
   std::set<std::pair<const Sort *, TermRef>> IndexSeen;
-  std::map<const Sort *, std::vector<TermRef>> IndexTermsBySort;
-  std::map<const Sort *, std::vector<TermRef>> ArrayTermsBySort; // Eager
   std::unordered_map<TermRef, std::vector<TermRef>> EqAdj;
   std::unordered_map<TermRef, std::vector<TermRef>> UpEdges;
   std::unordered_set<TermRef> UpSet;
@@ -164,19 +133,10 @@ private:
   /// demand on that side must emit the read-over-equality lemma late.
   std::unordered_map<TermRef, std::vector<TermRef>> ConstEqIndex;
   std::unordered_set<TermRef> WitnessedNegEqs;
-  /// Everything ever emitted on an active level, asserted OR pending
-  /// (dedup across both pools).
+  /// Everything emitted on an active level (dedup).
   std::unordered_set<TermRef> EmittedLemmas;
-  /// Lazy mode: deferred lemmas awaiting an in-search violation.
-  std::vector<TermRef> Pending;
-  std::unordered_set<TermRef> Activated;
 
-  struct WorkItem {
-    TermRef A;
-    TermRef I;
-    bool Seed;
-  };
-  std::vector<WorkItem> Work; // demand worklist
+  std::vector<std::pair<TermRef, TermRef>> Work; // demand worklist
   std::vector<TermRef> NewLemmas; // collected during the current assert
 
   std::vector<Undo> Trail;

@@ -82,15 +82,6 @@ public:
   /// formula under the produced model. Alias of eval().
   Value evaluate(TermRef T) const { return eval(T); }
 
-  /// eval() with a caller-owned memo cache, for callers that evaluate
-  /// many related terms against one model (the lazy-instantiation
-  /// violation scan evaluates every pending array lemma per candidate
-  /// model).
-  Value evalWithCache(TermRef T,
-                      std::unordered_map<TermRef, Value> &Cache) const {
-    return evalImpl(T, Cache);
-  }
-
   /// Default value for a sort (used for unconstrained leaves).
   static Value defaultFor(const Sort *S);
 

@@ -722,17 +722,8 @@ SatSolver::Result SatSolver::solve(TheoryCallback *Theory) {
       if (!Theory)
         return Result::Sat;
       std::vector<Lit> TheoryConflict;
-      if (Theory->onFullModel(TheoryConflict)) {
-        if (!Theory->hasPendingLemmas())
-          return Result::Sat;
-        // Lazy instantiation: the theory accepted this propositional
-        // model but queued lemma clauses the model violates. Assert them
-        // at the root and resume search instead of declaring Sat.
-        backtrack(0);
-        if (!Theory->flushPendingLemmas() || unsatAtCurrentLevel())
-          return Result::Unsat;
-        continue;
-      }
+      if (Theory->onFullModel(TheoryConflict))
+        return Result::Sat;
       if (!learnConflict(std::move(TheoryConflict)))
         return Result::Unsat;
       if (ClauseDeletionEnabled && NumLearnedLive >= MaxLearned)

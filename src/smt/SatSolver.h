@@ -92,17 +92,6 @@ public:
     (void)P;
     (void)ReasonOut;
   }
-
-  /// Lazy theory instantiation: after onFullModel accepts a model, the
-  /// solver asks whether the theory queued lemma clauses that must be
-  /// asserted before the Sat verdict can stand. When true, the solver
-  /// backtracks to decision level zero, calls flushPendingLemmas(), and
-  /// resumes search instead of returning Sat.
-  virtual bool hasPendingLemmas() { return false; }
-  /// Asserts the queued lemmas (called at decision level zero). Returns
-  /// false if asserting them refuted the instance at the current
-  /// assertion level.
-  virtual bool flushPendingLemmas() { return true; }
 };
 
 /// CDCL solver with an assertion-level clause database. One-shot callers

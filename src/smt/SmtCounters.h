@@ -33,12 +33,9 @@ struct SmtCounters {
   trace::Counter &Instantiations = trace::counter("smt.instantiations");
   trace::Counter &ArrayLemmas = trace::counter("smt.array_lemmas");
   trace::Counter &AssertsReused = trace::counter("smt.theory_asserts_reused");
-  trace::Counter &LemmasRetained = trace::counter("smt.lemmas_retained");
   trace::Counter &MaxAtoms = trace::counter("smt.max_atoms");
   trace::Counter &LemmasDeleted = trace::counter("smt.lemmas_deleted");
   trace::Counter &ReduceDbSweeps = trace::counter("smt.reduce_db_sweeps");
-  trace::Counter &LazyInstantiations =
-      trace::counter("smt.lazy_instantiations");
   trace::Counter &Restarts = trace::counter("smt.restarts");
   trace::Counter &TheoryPropagations =
       trace::counter("smt.theory_propagations");

@@ -17,23 +17,17 @@ using namespace ids;
 using namespace ids::smt;
 
 SolverContext::SolverContext(TermManager &TM, SolverOptions O)
-    : Core(TM, std::move(O)),
-      Reducer(TM, Core.Opts.EagerArrayInstantiation
-                      ? ArrayReducer::Mode::Eager
-                      : (Core.Opts.LazyArrayInstantiation
-                             ? ArrayReducer::Mode::Lazy
-                             : ArrayReducer::Mode::Demand)),
-      Engine(Core, /*Persistent=*/true) {
+    : Core(TM, std::move(O)), Reducer(TM), Engine(Core, /*Persistent=*/true) {
   assert(!Core.Opts.AllowQuantifiers &&
          "SolverContext is quantifier-free only");
+  assert(!Core.Opts.EagerArrayInstantiation &&
+         "the blind array product is a one-shot escalation only");
   LevelAsserts.emplace_back();
   Core.EncodingLog = &EncodingLog;
   Core.Sat.setClauseDeletion(Core.Opts.ClauseDeletion);
   Core.Sat.setTheoryPropagation(Core.Opts.TheoryPropagation);
   if (Core.Opts.ReduceDbLimit)
     Core.Sat.setReduceDbLimit(Core.Opts.ReduceDbLimit);
-  if (Reducer.lazy())
-    Core.Reducer = &Reducer;
 }
 
 SolverContext::~SolverContext() = default;
@@ -109,7 +103,6 @@ SolverContext::Result SolverContext::checkSat() {
   uint64_t ChecksBefore = Core.St.TheoryChecks;
   uint64_t GiveUpsBefore = Core.St.ModelGiveUps;
   uint64_t ReusedBefore = Core.St.TheoryAssertsReused;
-  uint64_t RetainedBefore = Core.Sat.numLemmasRetained();
   uint64_t DecisionsBefore = Core.Sat.numDecisions();
   uint64_t ConflictsBefore = Core.Sat.numConflicts();
   uint64_t TConflictsBefore = Core.Sat.numTheoryConflicts();
@@ -118,11 +111,9 @@ SolverContext::Result SolverContext::checkSat() {
   uint64_t DeletedBefore = Core.Sat.numLemmasDeleted();
   uint64_t SweepsBefore = Core.Sat.numReduceDbSweeps();
   uint64_t RestartsBefore = Core.Sat.numRestarts();
-  uint64_t LazyBefore = Core.St.LazyInstantiations;
   uint64_t TheoryPropsBefore = Core.Sat.numTheoryPropagations();
   uint64_t PropConflictsBefore = Core.Sat.numTheoryPropConflicts();
   unsigned ArrayLemmasBefore = Reducer.stats().NumLemmas;
-  Core.PendingInstantiations.clear();
   Core.BudgetExhausted = false;
   Core.TheoryCheckBase = Core.St.TheoryChecks;
   Core.SolveDeadline =
@@ -175,10 +166,8 @@ SolverContext::Result SolverContext::checkSat() {
   LastCheck.TheoryChecks = Core.St.TheoryChecks - ChecksBefore;
   LastCheck.ModelGiveUps = Core.St.ModelGiveUps - GiveUpsBefore;
   LastCheck.TheoryAssertsReused = Core.St.TheoryAssertsReused - ReusedBefore;
-  LastCheck.LemmasRetained = Core.Sat.numLemmasRetained() - RetainedBefore;
   LastCheck.NumAtoms = static_cast<unsigned>(Core.Atoms.size());
   LastCheck.NumArrayLemmas = Reducer.stats().NumLemmas;
-  LastCheck.LazyInstantiations = Core.St.LazyInstantiations - LazyBefore;
   LastCheck.TheoryPropagations =
       Core.Sat.numTheoryPropagations() - TheoryPropsBefore;
   LastCheck.PropagationConflicts =
@@ -194,17 +183,13 @@ SolverContext::Result SolverContext::checkSat() {
   TC.ModelRepairs.add(Core.St.ModelRepairs - RepairsBefore);
   TC.ModelGiveUps.add(LastCheck.ModelGiveUps);
   TC.AssertsReused.add(LastCheck.TheoryAssertsReused);
-  TC.LemmasRetained.add(LastCheck.LemmasRetained);
   TC.ArrayLemmas.add(Reducer.stats().NumLemmas - ArrayLemmasBefore);
   TC.MaxAtoms.recordMax(LastCheck.NumAtoms);
   TC.LemmasDeleted.add(Core.Sat.numLemmasDeleted() - DeletedBefore);
   TC.ReduceDbSweeps.add(Core.Sat.numReduceDbSweeps() - SweepsBefore);
   TC.Restarts.add(Core.Sat.numRestarts() - RestartsBefore);
-  TC.LazyInstantiations.add(LastCheck.LazyInstantiations);
   TC.TheoryPropagations.add(LastCheck.TheoryPropagations);
   TC.PropagationConflicts.add(LastCheck.PropagationConflicts);
-  // In-search lemma flushes pre-register too; pick up their reuse delta.
-  flushRegistrationCounter();
   return R;
 }
 

@@ -93,10 +93,6 @@ public:
     uint64_t TheoryChecks = 0;
     uint64_t ModelGiveUps = 0;
     uint64_t TheoryAssertsReused = 0;
-    uint64_t LemmasRetained = 0;
-    /// Deferred array lemmas asserted from inside this check's CDCL loop
-    /// (lazy instantiation mode; 0 in the up-front modes).
-    uint64_t LazyInstantiations = 0;
     /// Theory-propagation activity inside this check (0 with
     /// --no-theory-prop): literals asserted from partial-trail entailment
     /// and conflicts caught before a full propositional model.
@@ -132,8 +128,7 @@ private:
   CheckStats LastCheck;
   bool NeedReset = false; ///< a solve left its assignment in place
   /// CcRegistrationsReused already folded into the metrics registry
-  /// (registration reuse accrues in assertTerm AND during in-search lemma
-  /// flushes, so both checkSat and assertTerm flush the delta).
+  /// (registration reuse accrues in assertTerm, which flushes the delta).
   uint64_t CcReusedFlushed = 0;
   void flushRegistrationCounter();
 };

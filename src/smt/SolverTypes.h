@@ -39,15 +39,11 @@ struct SolverOptions {
   uint64_t MaxTheoryChecks = 0;
   /// Wall-clock budget per checkSat call in seconds (0 = unlimited).
   double TimeoutSeconds = 0;
-  /// Use the blind (quadratic) array instantiation instead of the
-  /// relevancy-driven one. The VC pipeline escalates to this when the
-  /// relevancy-driven attempt reports Unknown.
+  /// One-shot Solver only: use the blind (quadratic) array instantiation
+  /// instead of the relevancy-driven one. The VC pipeline escalates to
+  /// this when the relevancy-driven attempt gives up on model
+  /// construction. Incremental contexts always assert the demand closure.
   bool EagerArrayInstantiation = false;
-  /// Incremental contexts only: defer non-select-rooted array lemmas and
-  /// instantiate them from inside the CDCL loop on the first candidate
-  /// model that violates them (ArrayReducer::Mode::Lazy). Ignored when
-  /// EagerArrayInstantiation is set, and by the one-shot Solver.
-  bool LazyArrayInstantiation = false;
   /// Activity-based deletion of cold learned clauses (reduceDB) in the
   /// SAT core. On by default; --no-reduce-db is the differential
   /// baseline.
@@ -84,9 +80,6 @@ struct SolverStats {
   /// prefix, and learned clauses retained across pops (theory lemmas).
   uint64_t TheoryAssertsReused = 0;
   uint64_t LemmasRetained = 0;
-  /// Deferred array lemmas asserted from inside the CDCL loop (lazy
-  /// instantiation mode).
-  uint64_t LazyInstantiations = 0;
   /// Theory-propagation counters (incremental contexts): literals asserted
   /// from partial-trail entailment, conflicts detected during partial
   /// sync/propagation, and term registrations skipped because the term

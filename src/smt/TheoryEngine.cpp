@@ -630,143 +630,6 @@ void TheoryEngine::buildModel() {
   C.CurrentModel = std::move(M);
 }
 
-Value TheoryEngine::lazyEval(TermRef T,
-                             std::unordered_map<TermRef, Value> &Hybrid,
-                             std::unordered_map<TermRef, Value> &Structural) {
-  auto It = Hybrid.find(T);
-  if (It != Hybrid.end())
-    return It->second;
-  Value V;
-  switch (T->getKind()) {
-  case TermKind::True:
-  case TermKind::False:
-  case TermKind::IntConst:
-  case TermKind::RatConst:
-    V = valueOfTerm(T);
-    break;
-  default:
-    if (CC->isRegistered(T) || C.AtomIndex.count(T) != 0) {
-      // The theory stack has a candidate value for this term; use it even
-      // though it may disagree with the term's structural semantics —
-      // that disagreement is what a violated lemma looks like.
-      V = valueOfTerm(T);
-      break;
-    }
-    switch (T->getKind()) {
-    case TermKind::Not: {
-      Value A = lazyEval(T->getArg(0), Hybrid, Structural);
-      if (A.K == Value::Kind::Bool) {
-        V = Value::ofBool(!A.B);
-        break;
-      }
-      V = C.CurrentModel.evalWithCache(T, Structural);
-      break;
-    }
-    case TermKind::And:
-    case TermKind::Or: {
-      bool IsAnd = T->getKind() == TermKind::And;
-      bool Acc = IsAnd;
-      bool Ok = true;
-      for (TermRef A : T->getArgs()) {
-        Value AV = lazyEval(A, Hybrid, Structural);
-        if (AV.K != Value::Kind::Bool) {
-          Ok = false;
-          break;
-        }
-        Acc = IsAnd ? (Acc && AV.B) : (Acc || AV.B);
-      }
-      V = Ok ? Value::ofBool(Acc)
-             : C.CurrentModel.evalWithCache(T, Structural);
-      break;
-    }
-    case TermKind::Implies: {
-      Value A = lazyEval(T->getArg(0), Hybrid, Structural);
-      Value B = lazyEval(T->getArg(1), Hybrid, Structural);
-      if (A.K == Value::Kind::Bool && B.K == Value::Kind::Bool) {
-        V = Value::ofBool(!A.B || B.B);
-        break;
-      }
-      V = C.CurrentModel.evalWithCache(T, Structural);
-      break;
-    }
-    case TermKind::Eq:
-      V = Value::ofBool(lazyEval(T->getArg(0), Hybrid, Structural) ==
-                        lazyEval(T->getArg(1), Hybrid, Structural));
-      break;
-    case TermKind::Select: {
-      Value AV = lazyEval(T->getArg(0), Hybrid, Structural);
-      Value KV = lazyEval(T->getArg(1), Hybrid, Structural);
-      if (AV.K == Value::Kind::Array) {
-        auto EIt = AV.Arr->Entries.find(KV);
-        V = EIt != AV.Arr->Entries.end() ? EIt->second : AV.Arr->Default;
-        break;
-      }
-      V = C.CurrentModel.evalWithCache(T, Structural);
-      break;
-    }
-    default:
-      // No candidate value anywhere in this subtree: plain structural
-      // evaluation under the candidate model.
-      V = C.CurrentModel.evalWithCache(T, Structural);
-      break;
-    }
-    break;
-  }
-  Hybrid.emplace(T, V);
-  return V;
-}
-
-bool TheoryEngine::collectViolatedLemmas() {
-  if (!Persistent || !C.Reducer || !C.Reducer->lazy())
-    return false;
-  const std::vector<TermRef> &Pool = C.Reducer->pendingLemmas();
-  if (Pool.empty())
-    return false;
-  std::unordered_map<TermRef, Value> Hybrid, Structural;
-  C.PendingInstantiations.clear();
-  for (TermRef L : Pool) {
-    if (C.Reducer->isActivated(L))
-      continue;
-    Value V = lazyEval(L, Hybrid, Structural);
-    if (V.K == Value::Kind::Bool && !V.B)
-      C.PendingInstantiations.push_back(L);
-  }
-  return !C.PendingInstantiations.empty();
-}
-
-bool TheoryEngine::queueAllPendingLemmas() {
-  if (!Persistent || !C.Reducer || !C.Reducer->lazy())
-    return false;
-  C.PendingInstantiations.clear();
-  for (TermRef L : C.Reducer->pendingLemmas())
-    if (!C.Reducer->isActivated(L))
-      C.PendingInstantiations.push_back(L);
-  return !C.PendingInstantiations.empty();
-}
-
-bool TheoryEngine::hasPendingLemmas() {
-  return !C.PendingInstantiations.empty();
-}
-
-bool TheoryEngine::flushPendingLemmas() {
-  std::vector<TermRef> Queue = std::move(C.PendingInstantiations);
-  C.PendingInstantiations.clear();
-  for (TermRef L : Queue) {
-    if (C.Reducer->isActivated(L))
-      continue;
-    C.Reducer->markActivated(L);
-    ++C.St.LazyInstantiations;
-    sat::Lit Root = C.litFor(L);
-    if (!C.Sat.addClause({Root}))
-      return false;
-    // Lazy lemmas carry fresh select terms: pin their registrations at the
-    // current frame so later propagation sees them without scratch churn.
-    if (PropMode)
-      preRegister(L);
-  }
-  return true;
-}
-
 void TheoryEngine::popTheoryLevel() {
   CC->pop();
   Arith->pop();
@@ -934,12 +797,6 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
     Value V = C.CurrentModel.eval(C.EvalFormula);
     if (V.K == Value::Kind::Bool && V.B)
       return true; // genuine model
-    // Lazy array instantiation: before paying for collision repair, check
-    // whether the mismatch is a deferred lemma this candidate violates.
-    // Queued lemmas are flushed by the SAT core at decision level zero and
-    // the search resumes with the new constraints.
-    if (collectViolatedLemmas())
-      return true;
     ++C.St.ModelRepairs;
     if (logging::debugEnabled("smt") && C.St.ModelRepairs <= 4) {
       unsigned Shown = 0;
@@ -968,11 +825,7 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
     ArithSolver::Result AR = Arith->check(Core);
     if (AR == ArithSolver::Result::Unknown) {
       // Undecided separation: blocking this assignment could turn a
-      // satisfiable formula into a bogus Unsat. Before reporting Unknown,
-      // fall back to flushing every deferred array lemma — the extra
-      // constraints often decide what the separation probe could not.
-      if (queueAllPendingLemmas())
-        return true;
+      // satisfiable formula into a bogus Unsat.
       C.BudgetExhausted = true;
       return true;
     }
@@ -983,13 +836,6 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
     if (C.BudgetExhausted)
       return true;
   }
-  // Full-flush fallback: with lazy instantiation, give up only after the
-  // complete lemma set — everything the up-front closure would have
-  // asserted — is in the clause database. This bounds lazy mode at one
-  // round-trip worse than the up-front mode on any query, instead of
-  // trading speed for new Unknowns.
-  if (queueAllPendingLemmas())
-    return true;
   // The model builder could not produce a witness, and no sound
   // explanation clause is available: a blocking clause here would assert
   // "this assignment has no theory model" without proof, and on formulas

@@ -78,14 +78,6 @@ struct SolverCore {
   /// leaves it null.
   std::vector<TermRef> *EncodingLog = nullptr;
 
-  /// Lazy array instantiation (persistent mode): the context's reducer,
-  /// set by SolverContext when the reducer runs in Lazy mode, null
-  /// otherwise. The engine scans the reducer's pending lemmas against
-  /// candidate models and queues violated ones here; the SAT core then
-  /// flushes the queue at decision level zero and resumes search.
-  ArrayReducer *Reducer = nullptr;
-  std::vector<TermRef> PendingInstantiations;
-
   /// Tseitin encoding; defining clauses are added at the current assertion
   /// level, so the cache entry of a structure term is only valid while the
   /// level that created it is alive (see EncodingLog).
@@ -100,8 +92,6 @@ public:
   ~TheoryEngine() override;
 
   bool onFullModel(std::vector<sat::Lit> &ConflictOut) override;
-  bool hasPendingLemmas() override;
-  bool flushPendingLemmas() override;
 
   /// DPLL(T) theory propagation (persistent mode with TheoryPropagation
   /// on; a no-op otherwise): syncs the theory stack to the partial SAT
@@ -153,22 +143,6 @@ private:
   bool assertOneAtom(int AtomIdx, std::vector<sat::Lit> &ConflictOut);
   bool equalityFixpoint(std::vector<sat::Lit> &ConflictOut);
 
-  /// Hybrid lemma evaluation for the lazy-instantiation violation scan:
-  /// terms the theory stack knows (CC-registered terms, assigned atoms)
-  /// take their CANDIDATE values — possibly inconsistent with array
-  /// semantics, which is exactly the signal — while everything else is
-  /// evaluated structurally under the candidate model. A purely
-  /// structural evaluation would be useless here: array lemmas are
-  /// theory-valid, so they always evaluate true from the leaves up.
-  Value lazyEval(TermRef T, std::unordered_map<TermRef, Value> &Hybrid,
-                 std::unordered_map<TermRef, Value> &Structural);
-  /// Scans the reducer's pending pool against the current candidate model
-  /// and queues violated lemmas; returns true if any were queued.
-  bool collectViolatedLemmas();
-  /// Queues every non-activated pending lemma (the full-flush fallback at
-  /// the give-up point: guarantees lazy mode converges to the same lemma
-  /// set the up-front closure would have asserted).
-  bool queueAllPendingLemmas();
   void computeInterfaceTerms();
   bool separateCollisions();
   void buildModel();

@@ -313,6 +313,32 @@ TEST_F(VerifierInstanceTest, VerdictsRoundTripAcrossInstances) {
   }
 }
 
+TEST_F(VerifierInstanceTest, LaterAttachAppendsAfterEarlierWriter) {
+  // A creates verdicts.v1, B attaches to it and records its verdicts
+  // first, then A records verdicts of another module: A must append at
+  // the end of file, not at its own offset over B's records.
+  const char *Other = structures::findBenchmarkSource("circular-list");
+  ASSERT_NE(Other, nullptr);
+  driver::VerifyOptions Opts;
+  uint64_t Recorded = 0;
+  {
+    driver::VerifierInstance A, B;
+    std::string Err;
+    ASSERT_TRUE(A.attachCacheDir(Dir.string(), Err)) << Err;
+    ASSERT_TRUE(B.attachCacheDir(Dir.string(), Err)) << Err;
+    DiagEngine DB, DA;
+    ASSERT_TRUE(B.verify(Source, Opts, DB).FrontEndOk) << DB.toString();
+    ASSERT_TRUE(A.verify(Other, Opts, DA).FrontEndOk) << DA.toString();
+    ASSERT_GT(B.stats().VerdictsRecorded, 0u);
+    ASSERT_GT(A.stats().VerdictsRecorded, 0u);
+    Recorded = A.stats().VerdictsRecorded + B.stats().VerdictsRecorded;
+  }
+  driver::VerifierInstance Reload;
+  std::string Err;
+  ASSERT_TRUE(Reload.attachCacheDir(Dir.string(), Err)) << Err;
+  EXPECT_EQ(Reload.stats().VerdictsLoadedFromDisk, Recorded);
+}
+
 TEST_F(VerifierInstanceTest, RequestDeadlineReportsUnknown) {
   driver::VerifierInstance Inst;
   driver::VerifyOptions Opts;

@@ -8,8 +8,9 @@
 /// The persistence layer behind --cache-dir: entries written by one
 /// QueryCache load into the next (including multi-line Sat model text),
 /// Unknown outcomes are rejected at insert, torn tail records truncate
-/// the load instead of failing it, and a version-tag mismatch discards
-/// the file rather than misreading a future format.
+/// the load instead of failing it, a version-tag mismatch discards the
+/// file rather than misreading a future format, and caches attached to
+/// one directory append after each other's records instead of over them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -223,6 +224,32 @@ TEST_F(QueryCacheDiskTest, ConcurrentInstancesInterleaveWholeRecords) {
     EXPECT_EQ(Out.ModelText, satOutcome(I).ModelText) << I;
     ASSERT_TRUE(B.lookup({I, 2}, Out)) << I;
     EXPECT_EQ(Out.R, Solver::Result::Unsat);
+  }
+}
+
+TEST_F(QueryCacheDiskTest, LaterAttachAppendsAfterEarlierWriter) {
+  // The deterministic form of the interleaving above: A creates the file,
+  // B attaches to it, B's records land first and A's second. A must
+  // append at the end of file, not at its own offset over B's records.
+  constexpr unsigned PerWriter = 10;
+  {
+    QueryCache A, B;
+    std::string Err;
+    ASSERT_TRUE(A.attachDir(Dir.string(), Err)) << Err;
+    ASSERT_TRUE(B.attachDir(Dir.string(), Err)) << Err;
+    for (unsigned I = 0; I < PerWriter; ++I)
+      B.insert({I, 2}, unsatOutcome(I));
+    for (unsigned I = 0; I < PerWriter; ++I)
+      A.insert({I, 1}, satOutcome(I));
+  }
+  QueryCache Reload;
+  std::string Err;
+  ASSERT_TRUE(Reload.attachDir(Dir.string(), Err)) << Err;
+  EXPECT_EQ(Reload.diskStats().LoadedFromDisk, 2 * PerWriter);
+  for (unsigned I = 0; I < PerWriter; ++I) {
+    QueryCache::Outcome Out;
+    EXPECT_TRUE(Reload.lookup({I, 1}, Out)) << I;
+    EXPECT_TRUE(Reload.lookup({I, 2}, Out)) << I;
   }
 }
 

@@ -166,14 +166,13 @@ TEST(IncrFuzzTest, DifferentialArrayHeavy) {
   EXPECT_GT(C.Checks, 100u);
 }
 
-// The two solver fast paths under incremental solving, each checked
-// against the most conservative one-shot reference (blind eager array
-// instantiation, no clause deletion) — the configuration the earlier
-// goldens were recorded with.
+// The incremental context's array demand closure and clause deletion,
+// each checked against the most conservative one-shot reference (blind
+// eager array instantiation, no clause deletion) — the configuration the
+// earlier goldens were recorded with.
 
-TEST(IncrFuzzTest, DifferentialLazyArrays) {
+TEST(IncrFuzzTest, DifferentialDemandClosure) {
   SolverOptions Ctx;
-  Ctx.LazyArrayInstantiation = true;
   SolverOptions Ref;
   Ref.EagerArrayInstantiation = true;
   Ref.ClauseDeletion = false;
@@ -192,7 +191,6 @@ TEST(IncrFuzzTest, DifferentialTheoryProp) {
   // popAssertLevel are all exercised at fuzz scale.
   SolverOptions Ctx;
   Ctx.TheoryPropagation = true;
-  Ctx.LazyArrayInstantiation = true;
   SolverOptions Ref;
   Ref.TheoryPropagation = false;
   SeqCounts C = runIncrementalDifferential(/*Seed=*/0x5EED6, /*Sequences=*/100,
@@ -207,7 +205,6 @@ TEST(IncrFuzzTest, DifferentialDeletionStress) {
   // the pop interaction (deleted clauses vs assertion-level retraction)
   // is actually exercised at fuzz scale.
   SolverOptions Ctx;
-  Ctx.LazyArrayInstantiation = true;
   Ctx.ReduceDbLimit = 4;
   SolverOptions Ref;
   Ref.EagerArrayInstantiation = true;

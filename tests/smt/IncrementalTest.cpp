@@ -277,7 +277,7 @@ TEST(ArrayReducerTest, MatchesOneShotLemmaSet) {
   ArrayReductionStats OneShot;
   reduceArrays(TM, TM.mkAnd(F1, F2), &OneShot, /*Eager=*/false);
 
-  ArrayReducer R(TM, ArrayReducer::Mode::Demand);
+  ArrayReducer R(TM);
   std::vector<TermRef> L1 = R.assertFormula(F1);
   std::vector<TermRef> L2 = R.assertFormula(F2);
   EXPECT_EQ(L1.size() + L2.size(), OneShot.NumLemmas);
@@ -291,7 +291,7 @@ TEST(ArrayReducerTest, PopRetractsDemands) {
   TermRef St = TM.mkStore(A, TM.mkIntConst(1), TM.mkIntConst(2));
   TermRef Q = TM.mkEq(TM.mkSelect(St, X), TM.mkIntConst(2));
 
-  ArrayReducer R(TM, ArrayReducer::Mode::Demand);
+  ArrayReducer R(TM);
   R.push();
   std::vector<TermRef> First = R.assertFormula(Q);
   EXPECT_FALSE(First.empty());
