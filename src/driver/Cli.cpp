@@ -84,15 +84,12 @@ const char *driver::usageText() {
       "             --no-simp (disable the VC simplifier)\n"
       "             --no-slice (disable cone-of-influence slicing)\n"
       "             --no-cache (disable the structural query cache)\n"
-      "             --no-incremental (disable shared-prefix batching on\n"
-      "                      incremental solver contexts; every query then\n"
-      "                      gets a fresh one-shot solve)\n"
+      "             --no-incremental (solve every query on the one-shot\n"
+      "                      reference solver)\n"
       "             --no-reduce-db (disable activity-based learned-clause\n"
       "                      deletion in the SAT core)\n"
-      "             --no-theory-prop (disable DPLL(T) theory propagation\n"
-      "                      and incremental registration in batch\n"
-      "                      contexts; the purely lazy differential\n"
-      "                      baseline)\n"
+      "             --no-theory-prop (disable DPLL(T) theory propagation;\n"
+      "                      the purely lazy differential baseline)\n"
       "             --stats (print per-procedure pipeline statistics and\n"
       "                      the cumulative metrics registry)\n"
       "observability: --trace-out FILE (Chrome trace-event JSON of every\n"

@@ -45,11 +45,6 @@ static void printPipelineStats(const pipeline::Stats &St) {
          St.ConjunctsBeforeSlice, St.Queries, St.CacheHits,
          St.SliceFallbacks, St.EscalatedQueries, St.MaxAtoms,
          St.MaxArrayLemmas);
-  if (St.PrefixGroups > 0)
-    printf("    incremental: %u prefix groups, %u context reuses, "
-           "%llu lemmas retained, %u sat rechecks\n",
-           St.PrefixGroups, St.ContextReuses,
-           (unsigned long long)St.LemmasRetained, St.IncrSatRechecks);
 }
 
 /// Registry-comparable status key; must produce exactly the strings

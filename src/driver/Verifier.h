@@ -96,15 +96,14 @@ struct VerifyOptions {
   bool SimplifyVc = true;  ///< --no-simp
   bool SliceVc = true;     ///< --no-slice
   bool CacheQueries = true; ///< --no-cache
-  /// Shared-prefix obligation batching on incremental solver contexts;
-  /// --no-incremental falls back to a fresh one-shot solve per query.
+  /// Solve each query on a fresh incremental SolverContext;
+  /// --no-incremental solves every query on the one-shot reference solver.
   bool Incremental = true;
   /// Activity-based learned-clause deletion in the SAT core;
   /// --no-reduce-db disables it (differential baseline).
   bool ReduceDb = true;
-  /// DPLL(T) theory propagation + incremental frame-pinned registration in
-  /// batch contexts; --no-theory-prop restores the purely lazy full-model
-  /// behavior (differential baseline).
+  /// DPLL(T) theory propagation in SolverContext solves; --no-theory-prop
+  /// restores the purely lazy full-model behavior (differential baseline).
   bool TheoryProp = true;
   unsigned Jobs = 0;        ///< --jobs N; 0 auto-detects hardware threads
   /// Restrict verification to this procedure (empty = all).

@@ -68,6 +68,24 @@ private:
     Failed = true;
   }
 
+  /// Bounds the recursion of the descent (unary chains, bracketed
+  /// subexpressions, right-nested implications, nested blocks), so deeply
+  /// nested input gets a diagnostic instead of overflowing the stack. A
+  /// guard that finds the cap exceeded reports it; the caller then bails
+  /// out with nullptr like on any other parse error.
+  static constexpr unsigned MaxNestingDepth = 256;
+  struct DepthGuard {
+    Parser &P;
+    bool TooDeep;
+    explicit DepthGuard(Parser &P)
+        : P(P), TooDeep(++P.Depth > MaxNestingDepth) {
+      if (TooDeep)
+        P.error("nesting exceeds the maximum depth of " +
+                std::to_string(MaxNestingDepth));
+    }
+    ~DepthGuard() { --P.Depth; }
+  };
+
   // --- grammar ---
   bool parseStructure();
   bool parseProcedure();
@@ -99,6 +117,7 @@ private:
   DiagEngine &Diags;
   Module &M;
   bool Failed = false;
+  unsigned Depth = 0; ///< live DepthGuards
 };
 } // namespace
 
@@ -267,6 +286,9 @@ Expr *Parser::parsePostfix() {
 }
 
 Expr *Parser::parseUnary() {
+  DepthGuard Guard(*this);
+  if (Guard.TooDeep)
+    return nullptr;
   SourceLoc Loc = peek().Loc;
   if (accept(TokKind::Bang)) {
     Expr *Inner = parseUnary();
@@ -410,6 +432,9 @@ Expr *Parser::parseImplies() {
   if (E && check(TokKind::Implies)) {
     SourceLoc Loc = peek().Loc;
     advance();
+    DepthGuard Guard(*this);
+    if (Guard.TooDeep)
+      return nullptr;
     Expr *R = parseImplies(); // right-associative
     if (!R)
       return nullptr;
@@ -624,6 +649,9 @@ Stmt *Parser::parseStmt() {
 }
 
 Stmt *Parser::parseBlock() {
+  DepthGuard Guard(*this);
+  if (Guard.TooDeep)
+    return nullptr;
   SourceLoc Loc = peek().Loc;
   if (!expect(TokKind::LBrace, "'{'"))
     return nullptr;

@@ -11,14 +11,11 @@
 #include "smt/Solver.h"
 #include "smt/SolverContext.h"
 #include "support/JobManager.h"
-#include "support/Log.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 
 using namespace ids;
@@ -53,20 +50,6 @@ const StatsRow StatsRows[] = {
      [](const Stats &S) { return uint64_t(S.SliceFallbacks); }, false},
     {"escalated_queries",
      [](const Stats &S) { return uint64_t(S.EscalatedQueries); }, false},
-    {"prefix_groups", [](const Stats &S) { return uint64_t(S.PrefixGroups); },
-     false},
-    {"context_reuses",
-     [](const Stats &S) { return uint64_t(S.ContextReuses); }, false},
-    {"lemmas_retained",
-     [](const Stats &S) { return uint64_t(S.LemmasRetained); }, false},
-    {"theory_propagations",
-     [](const Stats &S) { return S.TheoryPropagations; }, false},
-    {"propagation_conflicts",
-     [](const Stats &S) { return S.PropagationConflicts; }, false},
-    {"cc_registrations_reused",
-     [](const Stats &S) { return S.CcRegistrationsReused; }, false},
-    {"incr_sat_rechecks",
-     [](const Stats &S) { return uint64_t(S.IncrSatRechecks); }, false},
     {"max_atoms", [](const Stats &S) { return uint64_t(S.MaxAtoms); }, true},
     {"max_array_lemmas",
      [](const Stats &S) { return uint64_t(S.MaxArrayLemmas); }, true},
@@ -112,13 +95,6 @@ void Stats::merge(const Stats &O) {
   CacheHits += O.CacheHits;
   SliceFallbacks += O.SliceFallbacks;
   EscalatedQueries += O.EscalatedQueries;
-  PrefixGroups += O.PrefixGroups;
-  ContextReuses += O.ContextReuses;
-  LemmasRetained += O.LemmasRetained;
-  TheoryPropagations += O.TheoryPropagations;
-  PropagationConflicts += O.PropagationConflicts;
-  CcRegistrationsReused += O.CcRegistrationsReused;
-  IncrSatRechecks += O.IncrSatRechecks;
   MaxAtoms = std::max(MaxAtoms, O.MaxAtoms);
   MaxArrayLemmas = std::max(MaxArrayLemmas, O.MaxArrayLemmas);
   TotalAtoms += O.TotalAtoms;
@@ -175,54 +151,18 @@ public:
         RunList.push_back(I);
     }
 
-    // Shared-prefix batching: obligations of one procedure share most of
-    // their guard (the passified program encoding), so their negated-claim
-    // queries share a long conjunct prefix. Each batch is solved by ONE
-    // worker on ONE incremental context — prefix asserted once at level 0,
-    // every member push/checked/popped on top of it.
-    std::vector<std::vector<size_t>> Groups =
-        Opts.Incremental && !Opts.AllowQuantifiers
-            ? groupBySharedPrefix(Queries, RunList)
-            : std::vector<std::vector<size_t>>();
-    std::vector<char> InGroup(N, 0);
-    for (const auto &G : Groups)
-      for (size_t Idx : G)
-        InGroup[Idx] = 1;
-
-    // Dispatch: singleton queries are independent stealable tasks; each
-    // prefix group becomes a dependency chain (prefix solve, then the
-    // members in order — they share one SolverContext, so the chain IS
-    // the mutual exclusion) whose links any worker can pick up, with
-    // escalations and Sat rechecks spawned as independent tasks that
-    // float off the group's critical path instead of blocking it.
+    // Dispatch: every query is an independent stealable task.
     {
       jobs::JobManager JM(Opts.Jobs);
-      for (size_t Idx : RunList) {
-        if (InGroup[Idx])
-          continue;
+      for (size_t Idx : RunList)
         JM.submit([this, &Queries, &Out, Idx] {
           Out[Idx] = runQuery(Queries[Idx]);
         });
-      }
-      for (const std::vector<size_t> &G : Groups)
-        submitGroup(JM, Queries, G, Out);
       JM.wait();
     }
 
     St.Queries += static_cast<unsigned>(RunList.size());
     St.EscalatedQueries += Escalations.exchange(0, std::memory_order_relaxed);
-    St.PrefixGroups += static_cast<unsigned>(Groups.size());
-    for (const auto &G : Groups)
-      St.ContextReuses += static_cast<unsigned>(G.size() - 1);
-    St.LemmasRetained += GroupLemmasRetained.exchange(0,
-                                                      std::memory_order_relaxed);
-    St.IncrSatRechecks += SatRechecks.exchange(0, std::memory_order_relaxed);
-    St.TheoryPropagations += GroupTheoryProps.exchange(
-        0, std::memory_order_relaxed);
-    St.PropagationConflicts += GroupPropConflicts.exchange(
-        0, std::memory_order_relaxed);
-    St.CcRegistrationsReused += GroupCcReused.exchange(
-        0, std::memory_order_relaxed);
     for (size_t Idx : RunList) {
       St.TotalAtoms += Out[Idx].NumAtoms;
       St.TotalArrayLemmas += Out[Idx].NumArrayLemmas;
@@ -245,6 +185,10 @@ public:
   }
 
 private:
+  /// One solve of \p Query. Quantifier-free queries get a fresh
+  /// SolverContext holding the query as its single assertion;
+  /// --no-incremental, the quantified encoding and the \p Eager
+  /// escalation use the one-shot reference Solver.
   QueryCache::Outcome attempt(TermRef Query, bool Eager, bool &GaveUp) {
     // Snapshot overlay over the frozen base manager: the query term is
     // directly valid in the overlay's view, so there is no per-task
@@ -255,10 +199,22 @@ private:
     SOpts.AllowQuantifiers = Opts.AllowQuantifiers;
     SOpts.MaxTheoryChecks = Opts.MaxTheoryChecks;
     SOpts.TimeoutSeconds = Opts.QueryTimeoutSeconds;
-    SOpts.EagerArrayInstantiation = Eager;
     SOpts.ClauseDeletion = Opts.ReduceDb;
-    Solver S(Local, SOpts);
     QueryCache::Outcome O;
+    if (Opts.Incremental && !Opts.AllowQuantifiers && !Eager) {
+      SOpts.TheoryPropagation = Opts.TheoryProp;
+      SolverContext Ctx(Local, SOpts);
+      Ctx.assertTerm(Query);
+      O.R = Ctx.checkSat();
+      O.NumAtoms = Ctx.lastCheckStats().NumAtoms;
+      O.NumArrayLemmas = Ctx.numArrayLemmas();
+      GaveUp = Ctx.lastCheckStats().ModelGiveUps > 0;
+      if (O.R == Solver::Result::Sat)
+        O.ModelText = Ctx.model().toString();
+      return O;
+    }
+    SOpts.EagerArrayInstantiation = Eager;
+    Solver S(Local, SOpts);
     O.R = S.checkSat(Query);
     O.NumAtoms = S.stats().NumAtoms;
     O.NumArrayLemmas = S.stats().ArrayStats.NumLemmas;
@@ -268,269 +224,7 @@ private:
     return O;
   }
 
-  /// Splits a query into its top-level conjuncts (a non-And query is its
-  /// own single conjunct).
-  static std::vector<TermRef> conjunctsOf(TermRef Query) {
-    if (Query->getKind() == TermKind::And)
-      return Query->getArgs();
-    return {Query};
-  }
-
-  /// Greedy grouping of the run list by shared conjunct prefix, over the
-  /// run list SORTED by conjunct sequence (lexicographic in term ids):
-  /// queries sharing a long prefix become neighbours even when obligation
-  /// order separated them — a late loop-exit obligation rejoins the batch
-  /// of the loop-entry obligations it branched from, instead of opening a
-  /// fresh context (the adjacency-only grouping this replaces split such
-  /// clusters; the gain is visible as fewer, larger prefix_groups). A
-  /// query joins the open group when the longest common prefix with the
-  /// group's prefix stays substantial — at least MinSharedConjuncts and
-  /// at least half of the query's own conjuncts. Only groups of two or
-  /// more queries are returned; singletons keep the one-shot path.
-  std::vector<std::vector<size_t>>
-  groupBySharedPrefix(const std::vector<TermRef> &Queries,
-                      const std::vector<size_t> &RunList) const {
-    constexpr size_t MinSharedConjuncts = 3;
-    // Activity-based clause deletion keeps a batch context's learned-DB
-    // bounded, but the cap still earns its keep: each extra member grows
-    // the context's live atom set (every theory check and BCP pass pays
-    // for it). Re-measured after theory propagation and incremental CC
-    // registration landed: on the heavy sorted-list queries, 16 or 32
-    // members still slow the whole procedure ~50% (7.2s -> ~11s) — the
-    // propagation watch set and per-sync re-assert suffix scale with the
-    // live atom count, so bigger groups hurt the partial-trail path just
-    // as they hurt the full-model path. Eight keeps the shared-prefix
-    // reuse win without inflating per-check footprints.
-    constexpr size_t MaxGroupSize = 8;
-    std::vector<std::vector<TermRef>> Conj(Queries.size());
-    for (size_t Idx : RunList)
-      Conj[Idx] = conjunctsOf(Queries[Idx]);
-    // Term ids are interning order — deterministic for a deterministic
-    // run — so the sort (and therefore the grouping) is reproducible.
-    // stable_sort keeps duplicate queries (possible with the cache off)
-    // in obligation order.
-    std::vector<size_t> Sorted(RunList);
-    std::stable_sort(Sorted.begin(), Sorted.end(),
-                     [&](size_t A, size_t B) {
-                       const std::vector<TermRef> &CA = Conj[A];
-                       const std::vector<TermRef> &CB = Conj[B];
-                       return std::lexicographical_compare(
-                           CA.begin(), CA.end(), CB.begin(), CB.end(),
-                           [](TermRef X, TermRef Y) {
-                             return X->getId() < Y->getId();
-                           });
-                     });
-    std::vector<std::vector<size_t>> Groups;
-    std::vector<size_t> Open;
-    std::vector<TermRef> OpenPrefix;
-    auto Close = [&]() {
-      if (Open.size() >= 2)
-        Groups.push_back(std::move(Open));
-      Open.clear();
-    };
-    for (size_t Idx : Sorted) {
-      if (Open.empty()) {
-        Open.push_back(Idx);
-        OpenPrefix = Conj[Idx];
-        continue;
-      }
-      size_t Lcp = 0;
-      while (Lcp < OpenPrefix.size() && Lcp < Conj[Idx].size() &&
-             OpenPrefix[Lcp] == Conj[Idx][Lcp])
-        ++Lcp;
-      if (Open.size() < MaxGroupSize && Lcp >= MinSharedConjuncts &&
-          Lcp * 2 >= Conj[Idx].size()) {
-        Open.push_back(Idx);
-        OpenPrefix.resize(Lcp);
-      } else {
-        Close();
-        Open.push_back(Idx);
-        OpenPrefix = Conj[Idx];
-      }
-    }
-    Close();
-    if (logging::debugEnabled("pipe")) {
-      for (auto &G : Groups) {
-        size_t L = SIZE_MAX; size_t MaxC = 0;
-        for (size_t I : G) {
-          size_t l = 0;
-          while (l < Conj[G[0]].size() && l < Conj[I].size() &&
-                 Conj[G[0]][l] == Conj[I][l]) ++l;
-          L = std::min(L, l); MaxC = std::max(MaxC, Conj[I].size());
-        }
-        logging::debugf("pipe", "group size=%zu lcp=%zu maxconj=%zu\n",
-                        G.size(), L, MaxC);
-      }
-    }
-    // The sort chose the GROUPING; obligation order remains the better
-    // SOLVE order within a group (a procedure's obligations grow harder
-    // towards the end, and the hardest member profits most from the
-    // lemmas its predecessors left in the context).
-    for (std::vector<size_t> &G : Groups)
-      std::sort(G.begin(), G.end());
-    return Groups;
-  }
-
-  /// Shared state of one in-flight prefix group: the overlay manager and
-  /// incremental context every member task reuses. Owned by shared_ptr —
-  /// the last finished task (finalizer, or a straggling escalation)
-  /// releases it.
-  struct GroupState {
-    explicit GroupState(const TermManager &Base)
-        : Local(Base, TermManager::Snapshot{}) {}
-    TermManager Local;
-    std::unique_ptr<SolverContext> Ctx;
-    std::vector<std::vector<TermRef>> Conj;
-    size_t Lcp = 0;
-    // Per-query stats deltas: the context's atom/lemma counters are
-    // cumulative over every member ever pushed, so reporting them raw
-    // inflates later members with earlier members' residue and makes
-    // max_atoms incomparable with the --no-incremental one-shot path.
-    // A member's comparable figure is the shared prefix's share plus
-    // what THIS member added on top (measured against the counter level
-    // just before its push). Prefix-demanded lemmas first discovered
-    // while solving member one are attributed to member one — the same
-    // lemmas a one-shot solve of prefix+claim would instantiate.
-    unsigned PrefixAtoms = 0;
-    unsigned PrefixLemmas = 0;
-  };
-
-  /// Submits one shared-prefix batch as a task chain: a prefix task that
-  /// asserts the common conjuncts at level 0, then one task per member
-  /// (chained — members share the context, so the dependency edge is the
-  /// mutual exclusion, but each link is stealable by any idle worker),
-  /// then a finalizer folding the context's cumulative stats. Sat
-  /// answers are re-confirmed one-shot (clean countermodel) and model
-  /// give-ups escalate to the eager instantiation exactly like the
-  /// one-shot path — both as independent spawned tasks, so a heavy
-  /// escalation no longer stalls the remaining members of its batch.
-  void submitGroup(jobs::JobManager &JM, const std::vector<TermRef> &Queries,
-                   const std::vector<size_t> &Members,
-                   std::vector<QueryCache::Outcome> &Out) {
-    auto GS = std::make_shared<GroupState>(TM);
-    GS->Conj.reserve(Members.size());
-    size_t Lcp = SIZE_MAX;
-    for (size_t Idx : Members)
-      GS->Conj.push_back(conjunctsOf(Queries[Idx]));
-    for (const auto &C : GS->Conj) {
-      size_t L = 0;
-      while (L < GS->Conj[0].size() && L < C.size() && GS->Conj[0][L] == C[L])
-        ++L;
-      Lcp = std::min(Lcp, L);
-    }
-    GS->Lcp = Lcp;
-
-    jobs::JobManager::TaskId Prev =
-        JM.submit([this, GS, Size = Members.size()] {
-          trace::ScopedSpan GroupSp("pipeline.batch_group");
-          if (GroupSp.active()) {
-            GroupSp.arg("proc", Opts.TraceLabel);
-            GroupSp.arg("size", double(Size));
-            GroupSp.arg("lcp", double(GS->Lcp));
-          }
-          Solver::Options SOpts;
-          SOpts.AllowQuantifiers = false;
-          SOpts.MaxTheoryChecks = Opts.MaxTheoryChecks;
-          SOpts.TimeoutSeconds = Opts.QueryTimeoutSeconds;
-          SOpts.ClauseDeletion = Opts.ReduceDb;
-          SOpts.TheoryPropagation = Opts.TheoryProp;
-          GS->Ctx.reset(new SolverContext(GS->Local, SOpts));
-          std::vector<TermRef> Prefix(GS->Conj[0].begin(),
-                                      GS->Conj[0].begin() + GS->Lcp);
-          GS->Ctx->assertTerm(GS->Local.mkAnd(std::move(Prefix)));
-          GS->PrefixAtoms = GS->Ctx->numAtoms();
-          GS->PrefixLemmas = GS->Ctx->numArrayLemmas();
-        });
-    for (size_t M = 0; M < Members.size(); ++M) {
-      size_t Idx = Members[M];
-      Prev = JM.submit(
-          [this, GS, &JM, &Queries, &Out, M, Idx] {
-            runGroupMember(*GS, JM, Queries, Out, M, Idx);
-          },
-          {Prev});
-    }
-    JM.submit(
-        [this, GS] {
-          GroupLemmasRetained.fetch_add(GS->Ctx->stats().LemmasRetained,
-                                        std::memory_order_relaxed);
-          GroupCcReused.fetch_add(GS->Ctx->stats().CcRegistrationsReused,
-                                  std::memory_order_relaxed);
-        },
-        {Prev});
-  }
-
-  /// One member round on the group's shared context: push, assert the
-  /// member's delta past the common prefix, check, pop.
-  void runGroupMember(GroupState &GS, jobs::JobManager &JM,
-                      const std::vector<TermRef> &Queries,
-                      std::vector<QueryCache::Outcome> &Out, size_t M,
-                      size_t Idx) {
-    SolverContext &Ctx = *GS.Ctx;
-    trace::ScopedSpan Sp("pipeline.solve");
-    const uint64_t T0 = trace::nowUs();
-    const unsigned AtomsBefore = Ctx.numAtoms();
-    const unsigned LemmasBefore = Ctx.numArrayLemmas();
-    Ctx.push();
-    for (size_t K = GS.Lcp; K < GS.Conj[M].size(); ++K)
-      Ctx.assertTerm(GS.Conj[M][K]);
-    Solver::Result R = Ctx.checkSat();
-    const SolverContext::CheckStats &CS = Ctx.lastCheckStats();
-    Ctx.pop();
-    GroupTheoryProps.fetch_add(CS.TheoryPropagations,
-                               std::memory_order_relaxed);
-    GroupPropConflicts.fetch_add(CS.PropagationConflicts,
-                                 std::memory_order_relaxed);
-    // The batched round's own result; only the terminal branches publish
-    // it to Out[Idx]. When a follow-up task (escalation / Sat recheck)
-    // is spawned, THAT task is the sole writer of Out[Idx] — the member
-    // task records its span/slow rows from this local copy so the two
-    // never race on the shared slot.
-    QueryCache::Outcome Batched;
-    Batched.R = R;
-    Batched.NumAtoms =
-        GS.PrefixAtoms + (CS.NumAtoms - std::min(CS.NumAtoms, AtomsBefore));
-    Batched.NumArrayLemmas =
-        GS.PrefixLemmas +
-        (CS.NumArrayLemmas - std::min(CS.NumArrayLemmas, LemmasBefore));
-    if (R == Solver::Result::Unsat) {
-      Out[Idx] = Batched;
-    } else if (R == Solver::Result::Unknown && CS.ModelGiveUps > 0) {
-      // Same escalation rule as the one-shot path: a model give-up is
-      // worth the quadratic eager instantiation; a budget or timeout
-      // Unknown would just exhaust again. The escalation solves fresh
-      // against the frozen base, so it runs as its own stealable task
-      // off the group chain instead of stalling the remaining members;
-      // its slow-query row is the member's one record.
-      if (Sp.active())
-        Sp.arg("escalating", 1.0);
-      JM.submit([this, &Queries, &Out, Idx, Batched] {
-        double Sec = 0;
-        Out[Idx] = escalate(Queries[Idx], Batched, Sec);
-        maybeRecordSlow(Queries[Idx], Sec, Sec, Out[Idx], /*Batched=*/true);
-      });
-      finishQuerySpan(Sp, Queries[Idx], Batched, /*Batched=*/true);
-      return;
-    } else if (R == Solver::Result::Sat) {
-      // A batch-context model ranges over every atom the context has
-      // ever seen (stale claims included); re-solve fresh for a clean,
-      // independently validated countermodel — as its own stealable
-      // task. The recheck logs its own slow-query row tagged
-      // recheck:true and does not bump pipeline.slow_queries — the
-      // member's batched row below is the real record, one per member.
-      JM.submit([this, &Queries, &Out, Idx] {
-        Out[Idx] = runQuery(Queries[Idx], /*Recheck=*/true);
-        SatRechecks.fetch_add(1, std::memory_order_relaxed);
-      });
-    } else {
-      Batched.R = Solver::Result::Unknown;
-      Out[Idx] = Batched;
-    }
-    finishQuerySpan(Sp, Queries[Idx], Batched, /*Batched=*/true);
-    maybeRecordSlow(Queries[Idx], double(trace::nowUs() - T0) / 1e6,
-                    /*EscalateSec=*/0, Batched, /*Batched=*/true);
-  }
-
-  QueryCache::Outcome runQuery(TermRef Query, bool Recheck = false) {
+  QueryCache::Outcome runQuery(TermRef Query) {
     trace::ScopedSpan Sp("pipeline.solve");
     const uint64_t T0 = trace::nowUs();
     bool GaveUp = false;
@@ -538,9 +232,8 @@ private:
     double EscalateSec = 0;
     if (O.R == Solver::Result::Unknown && GaveUp)
       O = escalate(Query, O, EscalateSec);
-    finishQuerySpan(Sp, Query, O, /*Batched=*/false);
-    maybeRecordSlow(Query, double(trace::nowUs() - T0) / 1e6, EscalateSec, O,
-                    /*Batched=*/false, Recheck);
+    finishQuerySpan(Sp, Query, O);
+    maybeRecordSlow(Query, double(trace::nowUs() - T0) / 1e6, EscalateSec, O);
     return O;
   }
 
@@ -587,7 +280,7 @@ private:
   /// Attaches the standard per-query metadata to a pipeline.solve span
   /// (no-op when tracing is off).
   void finishQuerySpan(trace::ScopedSpan &Sp, TermRef Query,
-                       const QueryCache::Outcome &O, bool Batched) {
+                       const QueryCache::Outcome &O) {
     if (!Sp.active())
       return;
     Sp.arg("proc", Opts.TraceLabel);
@@ -595,25 +288,18 @@ private:
     Sp.arg("verdict", verdictName(O.R));
     Sp.arg("atoms", double(O.NumAtoms));
     Sp.arg("array_lemmas", double(O.NumArrayLemmas));
-    if (Batched)
-      Sp.arg("batched", 1.0);
   }
 
   /// Appends a JSONL record when \p Sec crosses --slow-query-ms (no-op
   /// with the threshold unset). One line per heavy query: the artifact
   /// that turns "insert is slow" folklore into attributable data.
-  /// Recheck rows (the one-shot Sat re-confirmation of a batched member)
-  /// are tagged recheck:true and excluded from pipeline.slow_queries —
-  /// the member's batched row already counts it once.
   void maybeRecordSlow(TermRef Query, double Sec, double EscalateSec,
-                       const QueryCache::Outcome &O, bool Batched,
-                       bool Recheck = false) {
+                       const QueryCache::Outcome &O) {
     double Th = trace::slowQueryThresholdMs();
     if (Th <= 0 || Sec * 1000.0 < Th)
       return;
     static trace::Counter &SlowC = trace::counter("pipeline.slow_queries");
-    if (!Recheck)
-      SlowC.add();
+    SlowC.add();
     json::Value Rec = json::Value::object();
     Rec.set("ts_us", json::Value::number(double(trace::nowUs())));
     Rec.set("proc", json::Value::string(Opts.TraceLabel));
@@ -623,9 +309,6 @@ private:
     Rec.set("escalate_seconds", json::Value::number(EscalateSec));
     Rec.set("atoms", json::Value::number(double(O.NumAtoms)));
     Rec.set("array_lemmas", json::Value::number(double(O.NumArrayLemmas)));
-    Rec.set("batched", json::Value::boolean(Batched));
-    if (Recheck)
-      Rec.set("recheck", json::Value::boolean(true));
     trace::appendSlowQuery(Rec);
   }
 
@@ -636,11 +319,6 @@ private:
   QueryCache *Cache;
   Stats &St;
   std::atomic<unsigned> Escalations{0};
-  std::atomic<unsigned> SatRechecks{0};
-  std::atomic<uint64_t> GroupLemmasRetained{0};
-  std::atomic<uint64_t> GroupTheoryProps{0};
-  std::atomic<uint64_t> GroupPropConflicts{0};
-  std::atomic<uint64_t> GroupCcReused{0};
 };
 
 } // namespace
@@ -766,10 +444,10 @@ pipeline::Result pipeline::solveObligations(
   // ---- Stage 4: resolve Sat units against the original obligations. ----
   // A Sat answer is definitive only for a single-obligation query that
   // is still the original: slicing can manufacture spurious models (the
-  // dropped conjuncts may be infeasible), a group model does not name
-  // the failing member, and a model of a simplified query lacks the
-  // equality-substituted variables a user needs in a counterexample.
-  // Re-checking the untransformed obligation settles all three.
+  // dropped conjuncts may be infeasible), and a group model does not name
+  // the failing member. Re-checking the untransformed obligation settles
+  // both. (The simplifier only discharges obligations outright; it never
+  // rewrites the query a surviving obligation is solved as.)
   std::vector<TermRef> ResQueries;
   std::unordered_map<size_t, size_t> ResIdx; // obligation -> res query index
   for (size_t U = 0; U < Units.size(); ++U) {

@@ -8,15 +8,15 @@
 /// The VC pipeline sits between vcgen and the SMT solver: each proof
 /// obligation is simplified (Simplify.h), sliced to the claim's cone of
 /// influence (Slice.h), deduplicated against a structural query cache
-/// (QueryCache.h), and the surviving queries are dispatched across a
-/// work-stealing job system (support/JobManager.h) — singleton queries
-/// as independent tasks, shared-prefix batches as dependency chains
-/// whose prefix solve completes before the members dispatch — each task
-/// solving in a snapshot overlay of the (frozen) caller TermManager, so
-/// workers share the read-mostly term structure and pay only for their
-/// own delta. Every stage is
-/// independently disableable (`--no-simp`, `--no-slice`, `--no-cache`,
-/// `--jobs 1`) so the transforms can be tested differentially.
+/// (QueryCache.h), and every surviving query is an independent task on a
+/// work-stealing job system (support/JobManager.h). Each task solves its
+/// query on a fresh incremental SolverContext, the query as its single
+/// assertion, in a snapshot overlay of the (frozen) caller TermManager,
+/// so workers share the read-mostly term structure and pay only for
+/// their own delta. A model give-up escalates to the one-shot solver's
+/// blind array product. Every stage is independently disableable
+/// (`--no-simp`, `--no-slice`, `--no-cache`, `--jobs 1`) so the
+/// transforms can be tested differentially.
 ///
 /// This replaces the driver's former monolithic conjoin-and-refute loop:
 /// per-obligation queries are exactly the independently decidable units
@@ -46,12 +46,9 @@ struct Options {
   bool Slice = true;
   /// Consult/populate the structural query cache (--no-cache disables).
   bool Cache = true;
-  /// Batch obligations by shared VC prefix and solve each batch on one
-  /// incremental SolverContext: the common conjunct prefix is asserted
-  /// once at level 0, then each negated claim is push/checked/popped,
-  /// reusing the prefix CNF, its array instantiations and every theory
-  /// lemma learned along the way (--no-incremental falls back to a fresh
-  /// one-shot solve per query).
+  /// Solve each quantifier-free query on a fresh SolverContext (theory
+  /// propagation, persistent theory engines). --no-incremental solves
+  /// every query on the one-shot reference Solver instead.
   bool Incremental = true;
   /// Worker threads for solver dispatch (--jobs N); 1 = serial, 0 =
   /// auto-detect from hardware concurrency.
@@ -68,9 +65,9 @@ struct Options {
   /// Activity-based learned-clause deletion in the SAT core
   /// (--no-reduce-db disables, the differential baseline).
   bool ReduceDb = true;
-  /// DPLL(T) theory propagation + frame-pinned incremental registration
-  /// in batched incremental contexts (--no-theory-prop disables, the
-  /// differential baseline restoring purely lazy full-model checking).
+  /// DPLL(T) theory propagation in SolverContext solves
+  /// (--no-theory-prop disables, the differential baseline restoring
+  /// purely lazy full-model checking).
   bool TheoryProp = true;
   /// Attribution label for spans and slow-query records (the procedure
   /// or impact-check name this batch of obligations belongs to). Purely
@@ -92,24 +89,6 @@ struct Stats {
   unsigned SliceFallbacks = 0;
   /// Model give-ups retried with eager (blind) array instantiation.
   unsigned EscalatedQueries = 0;
-  /// Shared-prefix batches formed (incremental mode; singleton batches
-  /// fall back to one-shot solving and are not counted).
-  unsigned PrefixGroups = 0;
-  /// Checks that reused an already-asserted shared prefix (every batch
-  /// member after the first).
-  unsigned ContextReuses = 0;
-  /// Learned theory lemmas retained across pops inside batch contexts.
-  uint64_t LemmasRetained = 0;
-  /// Theory-propagation activity inside batch contexts (0 under
-  /// --no-theory-prop): literals asserted from partial-trail entailment,
-  /// conflicts caught before a full propositional model, and term
-  /// registrations skipped thanks to frame-pinned shared prefixes.
-  uint64_t TheoryPropagations = 0;
-  uint64_t PropagationConflicts = 0;
-  uint64_t CcRegistrationsReused = 0;
-  /// Sat answers from an incremental batch re-confirmed on a fresh
-  /// one-shot solver (clean countermodel, independent of context state).
-  unsigned IncrSatRechecks = 0;
   /// Largest query the solver saw (post-pipeline), and totals.
   unsigned MaxAtoms = 0;
   unsigned MaxArrayLemmas = 0;

@@ -31,6 +31,8 @@ public:
 
 private:
   TermRef visit(TermRef T) {
+    if (T->getArgs().empty())
+      return T;
     auto It = Cache.find(T);
     if (It != Cache.end())
       return It->second;
@@ -40,13 +42,13 @@ private:
   }
 
   TermRef compute(TermRef T) {
-    if (T->getArgs().empty())
-      return T;
     std::vector<TermRef> NewArgs;
     NewArgs.reserve(T->getNumArgs());
     for (TermRef A : T->getArgs())
       NewArgs.push_back(visit(A));
-    TermRef Rebuilt = rebuild(T, NewArgs);
+    // Most subterms contain no ite: keep them as they are instead of
+    // re-interning an identical node.
+    TermRef Rebuilt = NewArgs == T->getArgs() ? T : rebuild(T, NewArgs);
     if (Rebuilt->getKind() == TermKind::Ite &&
         !Rebuilt->getSort()->isBool()) {
       TermRef V = TM.mkFreshVar("ite", Rebuilt->getSort());
@@ -126,10 +128,12 @@ void collectSubterms(TermRef T, std::unordered_set<TermRef> &Out) {
 /// fresh witness variables are minted in a deterministic order.
 void markPolarities(TermRef T, int Pol,
                     std::unordered_map<TermRef, int> &Out,
-                    std::set<std::pair<TermRef, int>> &Seen,
+                    std::unordered_map<TermRef, int> &Seen,
                     std::vector<TermRef> &NegOrderOut) {
-  if (!Seen.insert({T, Pol}).second)
+  int &Visited = Seen[T]; // one bit per polarity already walked
+  if (Visited & (1 << Pol))
     return;
+  Visited |= 1 << Pol;
   switch (T->getKind()) {
   case TermKind::Not:
     // Both-polarity stays both-polarity under negation (3 ^ 3 would
@@ -194,7 +198,7 @@ TermRef smt::reduceArrays(TermManager &TM, TermRef Formula,
   // Step 1: witnesses for array equalities that occur negatively.
   {
     std::unordered_map<TermRef, int> Polarities;
-    std::set<std::pair<TermRef, int>> Seen;
+    std::unordered_map<TermRef, int> Seen;
     std::vector<TermRef> NegEqs;
     markPolarities(Formula, 1, Polarities, Seen, NegEqs);
     for (TermRef EqTerm : NegEqs) {
@@ -646,16 +650,14 @@ void ArrayReducer::processWork() {
     default:
       break;
     }
-    if (auto It = EqAdj.find(A); It != EqAdj.end()) {
-      std::vector<TermRef> Adj = It->second;
-      for (TermRef B : Adj)
+    // demand() only touches Need, DemandedIndices and Work, so the edge
+    // lists can be walked in place.
+    if (auto It = EqAdj.find(A); It != EqAdj.end())
+      for (TermRef B : It->second)
         demand(B, I);
-    }
-    if (auto It = UpEdges.find(A); It != UpEdges.end()) {
-      std::vector<TermRef> Ups = It->second;
-      for (TermRef Up : Ups)
+    if (auto It = UpEdges.find(A); It != UpEdges.end())
+      for (TermRef Up : It->second)
         demand(Up, I);
-    }
     if (isCompositeArray(A))
       emitReadOverComposite(A, I);
     if (auto It = ConstEqIndex.find(A); It != ConstEqIndex.end()) {
@@ -677,7 +679,7 @@ std::vector<TermRef> ArrayReducer::assertFormula(TermRef F) {
   // fresh witness variable on re-assertion).
   {
     std::unordered_map<TermRef, int> Polarities;
-    std::set<std::pair<TermRef, int>> Seen;
+    std::unordered_map<TermRef, int> Seen;
     std::vector<TermRef> NegEqs;
     markPolarities(F, 1, Polarities, Seen, NegEqs);
     for (TermRef EqTerm : NegEqs) {

@@ -61,8 +61,8 @@ TermRef liftItes(TermManager &TM, TermRef Formula);
 /// through store/combinator structure, flow across array-equality atoms and
 /// up through the operand closure of equality sides) is maintained
 /// persistently across assertFormula calls, so instantiations triggered by
-/// the shared prefix are computed once and survive every query solved on
-/// top of it. push()/pop() bracket assertion levels: demands, equality
+/// a lower assertion level are computed once and survive every push above
+/// it. push()/pop() bracket assertion levels: demands, equality
 /// edges and emitted-lemma records made above a popped level are retracted,
 /// so a later re-assertion re-derives exactly the lemmas it needs.
 ///
@@ -109,6 +109,15 @@ private:
     const Sort *S = nullptr;
   };
 
+  /// Hash of a pointer pair, for the membership-only sets below.
+  struct PairHash {
+    template <class A, class B>
+    size_t operator()(const std::pair<A, B> &P) const {
+      return std::hash<const void *>()(P.first) * 31 ^
+             std::hash<const void *>()(P.second);
+    }
+  };
+
   void collectNewSubterms(TermRef T, std::vector<TermRef> &Out);
   void demand(TermRef A, TermRef I);
   void markUp(TermRef T);
@@ -122,11 +131,11 @@ private:
   ArrayReductionStats Stats;
 
   std::unordered_set<TermRef> KnownTerms;
-  std::set<std::pair<const Sort *, TermRef>> IndexSeen;
+  std::unordered_set<std::pair<const Sort *, TermRef>, PairHash> IndexSeen;
   std::unordered_map<TermRef, std::vector<TermRef>> EqAdj;
   std::unordered_map<TermRef, std::vector<TermRef>> UpEdges;
   std::unordered_set<TermRef> UpSet;
-  std::set<std::pair<TermRef, TermRef>> Need;
+  std::unordered_set<std::pair<TermRef, TermRef>, PairHash> Need;
   std::unordered_map<TermRef, std::vector<TermRef>> DemandedIndices;
   std::unordered_set<TermRef> EqAtoms;
   /// Const-array equality atoms indexed by their non-constant side: a new

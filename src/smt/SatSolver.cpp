@@ -77,8 +77,14 @@ void SatSolver::heapInsert(Var V) {
 void SatSolver::attachClause(int Idx) {
   Clause &C = Clauses[Idx];
   assert(C.Lits.size() >= 2 && "cannot watch a short clause");
-  Watches[C.Lits[0].Code].push_back({Idx, C.Lits[1]});
-  Watches[C.Lits[1].Code].push_back({Idx, C.Lits[0]});
+  for (int W = 0; W < 2; ++W) {
+    std::vector<Watcher> &List = Watches[C.Lits[W].Code];
+    // Tseitin literals collect a handful of watches right away; start
+    // with room for them instead of growing 1, 2, 4.
+    if (List.capacity() == 0)
+      List.reserve(4);
+    List.push_back({Idx, C.Lits[1 - W]});
+  }
 }
 
 void SatSolver::detachClause(int Idx) {
@@ -116,12 +122,12 @@ int SatSolver::allocClause(std::vector<Lit> Lits, bool Learned,
   if (!FreeClauseSlots.empty()) {
     Idx = FreeClauseSlots.back();
     FreeClauseSlots.pop_back();
-    Clauses[Idx] = {std::move(Lits), Learned,     false, false,
-                    ReasonOnly,      AssertLevel, 0.0};
+    Clauses[Idx] = {std::move(Lits), Learned, false, ReasonOnly,
+                    AssertLevel, 0.0};
   } else {
     Idx = static_cast<int>(Clauses.size());
-    Clauses.push_back({std::move(Lits), Learned, false, false, ReasonOnly,
-                       AssertLevel, 0.0});
+    Clauses.push_back(
+        {std::move(Lits), Learned, false, ReasonOnly, AssertLevel, 0.0});
   }
   ++NumLiveClauses;
   if (Learned && !ReasonOnly) {
@@ -214,7 +220,8 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
   std::sort(Lits.begin(), Lits.end(),
             [](Lit A, Lit B) { return A.Code < B.Code; });
   Lits.erase(std::unique(Lits.begin(), Lits.end()), Lits.end());
-  std::vector<Lit> Kept;
+  // Root-false literals are dropped in place.
+  size_t NumKept = 0;
   unsigned ClauseLevel = CurrentAssertLevel;
   for (size_t I = 0; I < Lits.size(); ++I) {
     if (I + 1 < Lits.size() && Lits[I + 1] == ~Lits[I])
@@ -223,26 +230,27 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
     if (V == LBool::True)
       return true; // already satisfied at level 0
     if (V == LBool::Undef)
-      Kept.push_back(Lits[I]);
+      Lits[NumKept++] = Lits[I];
   }
-  if (Kept.empty()) {
+  Lits.resize(NumKept);
+  if (Lits.empty()) {
     markUnsat(ClauseLevel);
     return false;
   }
-  if (Kept.size() == 1) {
+  if (Lits.size() == 1) {
     // The unit conclusion rests on the clause plus the dropped root-false
     // literals; record that so a later pop can retract the assignment.
     // (All contributing levels are <= ClauseLevel; being exact does not
     // matter here, only soundness of retraction.)
-    enqueue(Kept[0], -1);
-    RootAssertLevel[Kept[0].var()] = ClauseLevel;
+    enqueue(Lits[0], -1);
+    RootAssertLevel[Lits[0].var()] = ClauseLevel;
     if (propagate() != -1) {
       markUnsat(CurrentAssertLevel);
       return false;
     }
     return true;
   }
-  int Idx = allocClause(std::move(Kept), false, ClauseLevel);
+  int Idx = allocClause(std::move(Lits), false, ClauseLevel);
   attachClause(Idx);
   return true;
 }
@@ -535,18 +543,11 @@ void SatSolver::popAssertLevel() {
   backtrack(0);
   unsigned NewLevel = --CurrentAssertLevel;
 
-  // Retract clauses above the new level; count retained learned clauses
-  // (the theory lemmas whose derivations survived).
+  // Retract clauses above the new level.
   for (size_t Idx = 0; Idx < Clauses.size(); ++Idx) {
     Clause &C = Clauses[Idx];
-    if (C.Dead)
-      continue;
-    if (C.AssertLevel > NewLevel) {
+    if (!C.Dead && C.AssertLevel > NewLevel)
       removeClause(static_cast<int>(Idx));
-    } else if (C.Learned && !C.ReasonOnly && !C.CountedRetained) {
-      ++LemmasRetained;
-      C.CountedRetained = true;
-    }
   }
 
   // Retract root assignments whose justification depended on a popped

@@ -202,11 +202,6 @@ public:
   uint64_t numReduceDbSweeps() const { return ReduceDbSweeps; }
   /// Live learned clauses (dead slots excluded).
   unsigned numLearnedClauses() const { return NumLearnedLive; }
-  /// Distinct learned clauses that survived at least one pop: the
-  /// measurable payoff of assertion-level-0 theory lemmas. Each lemma
-  /// counts once (at the first pop it outlives), so the metric reflects
-  /// reusable lemmas, not lemmas x pops.
-  uint64_t numLemmasRetained() const { return LemmasRetained; }
   /// Live clauses in the database (dead slots excluded).
   unsigned numClauses() const { return NumLiveClauses; }
 
@@ -215,9 +210,6 @@ private:
     std::vector<Lit> Lits;
     bool Learned = false;
     bool Dead = false;
-    /// Already counted toward LemmasRetained (each lemma counts once, at
-    /// the first pop it survives).
-    bool CountedRetained = false;
     /// Lazily materialized theory-propagation reason: never attached to
     /// the watch lists, excluded from VarOcc and the learned-clause
     /// economy, and freed as soon as its literal is unassigned.
@@ -322,7 +314,6 @@ private:
   uint64_t Decisions = 0;
   uint64_t Propagations = 0;
   uint64_t TheoryConflicts = 0;
-  uint64_t LemmasRetained = 0;
   uint64_t Restarts = 0;
   uint64_t LemmasDeleted = 0;
   uint64_t ReduceDbSweeps = 0;

@@ -21,9 +21,10 @@
 /// evaluating the original formula under the constructed model before
 /// being reported.
 ///
-/// For incremental solving (push/pop/assert with shared-prefix reuse) see
-/// SolverContext.h; this class remains the fresh-solve baseline that
-/// `--no-incremental` falls back to.
+/// For incremental solving (the per-query context the VC pipeline uses by
+/// default, and push/pop/assert) see SolverContext.h; this class remains
+/// the one-shot reference solver that `--no-incremental`, the quantified
+/// encoding and the model give-up escalation use.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -70,27 +70,43 @@ void SolverContext::assertTerm(TermRef F) {
   }
   TermRef Lifted = liftItes(Core.TM, F);
   LevelAsserts.back().push_back(Lifted);
+  // The formula and the array lemmas it demands.
+  std::vector<TermRef> Asserted{Lifted};
   std::vector<TermRef> Lemmas = Reducer.assertFormula(Lifted);
-  sat::Lit Root = Core.litFor(Lifted);
-  Core.Sat.addClause({Root});
-  for (TermRef L : Lemmas) {
-    sat::Lit LL = Core.litFor(L);
-    Core.Sat.addClause({LL});
-  }
+  Asserted.insert(Asserted.end(), Lemmas.begin(), Lemmas.end());
+  for (TermRef A : Asserted)
+    addClauses(A);
   // Pre-register the theory structure of everything just encoded (a no-op
   // under --no-theory-prop): term graph and watches land at the current
-  // assertion frame, so batch members re-register only their own delta on
-  // top of the pinned shared prefix.
-  Engine.preRegister(Lifted);
-  for (TermRef L : Lemmas)
-    Engine.preRegister(L);
-  flushRegistrationCounter();
+  // assertion frame, so assertions above a push re-register only their own
+  // delta on top of the pinned lower levels.
+  Engine.preRegister(Asserted);
+  flushAssertCounters();
 }
 
-void SolverContext::flushRegistrationCounter() {
-  smtCounters().CcRegistrationsReused.add(Core.St.CcRegistrationsReused -
-                                          CcReusedFlushed);
+void SolverContext::addClauses(TermRef F) {
+  if (F->getKind() == TermKind::And) {
+    for (TermRef C : F->getArgs())
+      addClauses(C);
+    return;
+  }
+  if (F->getKind() == TermKind::Or) {
+    std::vector<sat::Lit> Clause;
+    for (TermRef D : F->getArgs())
+      Clause.push_back(Core.litFor(D));
+    Core.Sat.addClause(std::move(Clause));
+    return;
+  }
+  Core.Sat.addClause({Core.litFor(F)});
+}
+
+void SolverContext::flushAssertCounters() {
+  SmtCounters &TC = smtCounters();
+  TC.CcRegistrationsReused.add(Core.St.CcRegistrationsReused -
+                               CcReusedFlushed);
   CcReusedFlushed = Core.St.CcRegistrationsReused;
+  TC.ArrayLemmas.add(Reducer.stats().NumLemmas - ArrayLemmasFlushed);
+  ArrayLemmasFlushed = Reducer.stats().NumLemmas;
 }
 
 SolverContext::Result SolverContext::checkSat() {
@@ -113,7 +129,6 @@ SolverContext::Result SolverContext::checkSat() {
   uint64_t RestartsBefore = Core.Sat.numRestarts();
   uint64_t TheoryPropsBefore = Core.Sat.numTheoryPropagations();
   uint64_t PropConflictsBefore = Core.Sat.numTheoryPropConflicts();
-  unsigned ArrayLemmasBefore = Reducer.stats().NumLemmas;
   Core.BudgetExhausted = false;
   Core.TheoryCheckBase = Core.St.TheoryChecks;
   Core.SolveDeadline =
@@ -158,9 +173,6 @@ SolverContext::Result SolverContext::checkSat() {
       R = SR == sat::SatSolver::Result::Unsat ? Result::Unsat : Result::Sat;
   }
 
-  Core.St.LemmasRetained = Core.Sat.numLemmasRetained();
-  Core.St.TheoryPropagations = Core.Sat.numTheoryPropagations();
-  Core.St.PropagationConflicts = Core.Sat.numTheoryPropConflicts();
   Core.St.ArrayStats = Reducer.stats();
   LastCheck.R = R;
   LastCheck.TheoryChecks = Core.St.TheoryChecks - ChecksBefore;
@@ -183,7 +195,6 @@ SolverContext::Result SolverContext::checkSat() {
   TC.ModelRepairs.add(Core.St.ModelRepairs - RepairsBefore);
   TC.ModelGiveUps.add(LastCheck.ModelGiveUps);
   TC.AssertsReused.add(LastCheck.TheoryAssertsReused);
-  TC.ArrayLemmas.add(Reducer.stats().NumLemmas - ArrayLemmasBefore);
   TC.MaxAtoms.recordMax(LastCheck.NumAtoms);
   TC.LemmasDeleted.add(Core.Sat.numLemmasDeleted() - DeletedBefore);
   TC.ReduceDbSweeps.add(Core.Sat.numReduceDbSweeps() - SweepsBefore);

@@ -7,36 +7,26 @@
 /// \file
 /// Incremental SMT solving over an assertion stack: assertTerm() adds a
 /// formula at the current level, push()/pop() bracket levels, and
-/// checkSat() decides the conjunction of every active assertion. The
-/// point is shared-prefix reuse across the many near-identical queries of
-/// a verification run:
+/// checkSat() decides the conjunction of every active assertion.
 ///
-///  - the Tseitin CNF of an assertion is built once and its clauses are
-///    retracted exactly when the level that added them pops (SatSolver
-///    assertion levels);
-///  - theory conflict clauses learned while solving one query are valid
-///    theory lemmas (assertion level 0), so they survive pops and prune
-///    the search of every later query on the same prefix;
-///  - demand-driven array instantiations triggered by prefix assertions
-///    are computed once and survive across queries (ArrayReducer levels),
-///    while instantiations made above the current level are retracted on
-///    pop;
-///  - the congruence closure and simplex engines are persistent and
-///    backtrackable, synced to the SAT trail so consecutive theory checks
-///    re-assert only the diverging suffix of the assignment.
-///
-/// The intended protocol for a batched obligation group:
+/// The VC pipeline solves every quantifier-free query on a fresh context
+/// holding the query as its single assertion:
 ///
 ///   SolverContext Ctx(TM, Opts);
-///   Ctx.assertTerm(SharedPrefix);          // level 0, asserted once
-///   for (auto &Claim : Claims) {
-///     Ctx.push();
-///     Ctx.assertTerm(Negate(Claim));
-///     auto R = Ctx.checkSat();             // Unsat == claim proved
-///     Ctx.pop();
-///   }
+///   Ctx.assertTerm(Query);                 // array demand closure here
+///   auto R = Ctx.checkSat();               // Unsat == obligation proved
 ///
-/// checkSatAssuming() wraps one push/assert/check/pop round.
+/// What it gains over the one-shot Solver is the persistent,
+/// backtrackable theory engines: DPLL(T) theory propagation on partial
+/// trails, and congruence-closure and simplex state synced to the SAT
+/// trail so consecutive theory checks re-assert only the diverging suffix
+/// of the assignment. A Sat model is checked against the active
+/// assertions before it is reported.
+///
+/// push()/pop() (SatSolver assertion levels, ArrayReducer levels and
+/// TheoryEngine assertion frames) are exercised only by the differential
+/// tests against the one-shot Solver; checkSatAssuming() wraps one
+/// push/assert/check/pop round.
 ///
 /// Quantifier-free only: the quantified (RQ3) encoding instantiates ahead
 /// of time and keeps using the one-shot Solver.
@@ -103,14 +93,8 @@ public:
   };
   const CheckStats &lastCheckStats() const { return LastCheck; }
 
-  /// Live counter snapshots between checks: the atoms interned and array
-  /// lemmas instantiated so far in this context. Callers batching many
-  /// queries on one context use these to turn the context-cumulative
-  /// CheckStats counters into per-query deltas (e.g. "prefix share +
-  /// what this member added"), comparable with a one-shot solve.
-  unsigned numAtoms() const {
-    return static_cast<unsigned>(Core.Atoms.size());
-  }
+  /// Array lemmas instantiated so far in this context (all of them are
+  /// emitted by assertTerm).
   unsigned numArrayLemmas() const { return Reducer.stats().NumLemmas; }
 
 private:
@@ -127,10 +111,15 @@ private:
   std::vector<size_t> EncodingMarks;
   CheckStats LastCheck;
   bool NeedReset = false; ///< a solve left its assignment in place
-  /// CcRegistrationsReused already folded into the metrics registry
-  /// (registration reuse accrues in assertTerm, which flushes the delta).
+  /// Registration reuse and array lemmas already folded into the metrics
+  /// registry: both accrue in assertTerm, which flushes the deltas.
   uint64_t CcReusedFlushed = 0;
-  void flushRegistrationCounter();
+  unsigned ArrayLemmasFlushed = 0;
+  void flushAssertCounters();
+  /// Adds the asserted formula \p F to the SAT core: a top-level
+  /// conjunction splits into its conjuncts and a top-level disjunction
+  /// becomes one clause, so neither needs a Tseitin variable.
+  void addClauses(TermRef F);
 };
 
 } // namespace smt

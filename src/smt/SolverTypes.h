@@ -75,17 +75,12 @@ struct SolverStats {
   uint64_t ModelGiveUps = 0;
   uint64_t Instantiations = 0;
   unsigned NumAtoms = 0;
-  /// Incremental-context counters: atom assertions skipped because the
+  /// Incremental-context counter: atom assertions skipped because the
   /// persistent theory engines were already synced to a shared SAT-trail
-  /// prefix, and learned clauses retained across pops (theory lemmas).
+  /// prefix.
   uint64_t TheoryAssertsReused = 0;
-  uint64_t LemmasRetained = 0;
-  /// Theory-propagation counters (incremental contexts): literals asserted
-  /// from partial-trail entailment, conflicts detected during partial
-  /// sync/propagation, and term registrations skipped because the term
-  /// graph was already pinned at a lower assertion frame.
-  uint64_t TheoryPropagations = 0;
-  uint64_t PropagationConflicts = 0;
+  /// Incremental-context counter: term registrations skipped because the
+  /// term graph was already pinned at a lower assertion frame.
   uint64_t CcRegistrationsReused = 0;
   ArrayReductionStats ArrayStats;
 };

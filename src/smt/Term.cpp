@@ -193,16 +193,14 @@ TermRef TermManager::intern(Term &&Node) {
   // with this overlay, so hash and equality agree across the two tables
   // and a base hit is returned with no copy and no lock.
   if (BaseMgr) {
-    auto BIt = BaseMgr->Table.find(H);
-    if (BIt != BaseMgr->Table.end())
-      for (TermRef Existing : BIt->second)
-        if (equalTerm(*Existing, Node))
-          return Existing;
+    auto [BIt, BEnd] = BaseMgr->Table.equal_range(H);
+    for (; BIt != BEnd; ++BIt)
+      if (equalTerm(*BIt->second, Node))
+        return BIt->second;
   }
-  auto &Bucket = Table[H];
-  for (TermRef Existing : Bucket)
-    if (equalTerm(*Existing, Node))
-      return Existing;
+  for (auto [It, End] = Table.equal_range(H); It != End; ++It)
+    if (equalTerm(*It->second, Node))
+      return It->second;
   assert(!Frozen && "interning a new term in a frozen TermManager");
   Node.Id = NextId++;
   // Structural DAG hash: two independently seeded 64-bit mixes over the
@@ -241,7 +239,7 @@ TermRef TermManager::intern(Term &&Node) {
   }
   Terms.emplace_back(new Term(std::move(Node)));
   TermRef Result = Terms.back().get();
-  Bucket.push_back(Result);
+  Table.emplace(H, Result);
   return Result;
 }
 

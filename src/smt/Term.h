@@ -308,7 +308,8 @@ private:
   static bool equalTerm(const Term &A, const Term &B);
 
   std::deque<std::unique_ptr<Term>> Terms;
-  std::unordered_map<size_t, std::vector<TermRef>> Table;
+  /// Hash-consing table: node hash -> every term with that hash.
+  std::unordered_multimap<size_t, TermRef> Table;
   std::deque<std::unique_ptr<Sort>> Sorts;
   std::deque<std::unique_ptr<FuncDecl>> Decls;
   std::unordered_map<std::string, const Sort *> NamedSorts;

@@ -919,7 +919,7 @@ void TheoryEngine::popAssertionFrame() {
   FrameEpochs.pop_back();
 }
 
-void TheoryEngine::preRegister(TermRef F) {
+void TheoryEngine::preRegister(const std::vector<TermRef> &Roots) {
   if (!PropMode)
     return;
   // Registration must happen from the frame base: anything trailed under a
@@ -979,7 +979,8 @@ void TheoryEngine::preRegister(TermRef F) {
     return PW;
   };
 
-  std::vector<TermRef> Work{F};
+  // Reversed, so the first root is walked first (depth-first).
+  std::vector<TermRef> Work(Roots.rbegin(), Roots.rend());
   std::unordered_set<TermRef> Seen;
   while (!Work.empty()) {
     TermRef T = Work.back();

@@ -107,16 +107,17 @@ public:
   // ------------------------------------------- Incremental registration --
   /// Brackets one SolverContext assertion level. Registrations (term
   /// graph, equality watches, arith vars) made while a frame is open are
-  /// retracted when it pops; registrations made with no frame open — the
-  /// shared prefix of a batched obligation group — are pinned permanently,
-  /// so each batch member's checks only register its own delta.
+  /// retracted when it pops; registrations made with no frame open are
+  /// pinned permanently, so checks above a push only register their own
+  /// delta.
   void pushAssertionFrame();
   void popAssertionFrame();
-  /// Pre-registers the theory atoms reachable in \p F (called after the
-  /// formula was Tseitin-encoded, so every atom is interned): CC term
-  /// graph and equality watches for Eq/boolean atoms, slack variables and
-  /// bound watches for inequality atoms. Idempotent per atom and frame.
-  void preRegister(TermRef F);
+  /// Pre-registers the theory atoms reachable in \p Roots, in order
+  /// (called after the formulas were Tseitin-encoded, so every atom is
+  /// interned): CC term graph and equality watches for Eq/boolean atoms,
+  /// slack variables and bound watches for inequality atoms. Idempotent
+  /// per atom and frame; one call visits each shared subterm once.
+  void preRegister(const std::vector<TermRef> &Roots);
 
 private:
   bool atomValue(int AtomIdx) const {

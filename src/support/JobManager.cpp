@@ -53,41 +53,20 @@ JobManager::~JobManager() {
     W.join();
 }
 
-JobManager::TaskId JobManager::submit(std::function<void()> Fn,
-                                      const std::vector<TaskId> &Deps) {
-  TaskId Id;
-  bool ReadyNow;
+void JobManager::submit(std::function<void()> Fn) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    Id = static_cast<TaskId>(Tasks.size());
-    Tasks.emplace_back();
-    Task &T = Tasks.back();
-    T.Fn = std::move(Fn);
-    for (TaskId Dep : Deps) {
-      assert(Dep < Id && "dependency on a later task");
-      if (!Tasks[Dep].Done) {
-        Tasks[Dep].Dependents.push_back(Id);
-        ++T.PendingDeps;
-      }
-    }
+    // Owner-spawned work goes to the bottom of the owner's deque (LIFO
+    // for the owner, cache-warm); everything else lands in the inbox.
+    unsigned Slot = CurrentWorker < NumJobs ? CurrentWorker : NumJobs;
+    Ready[Slot].push_back(std::move(Fn));
     ++Outstanding;
-    ReadyNow = T.PendingDeps == 0;
-    if (ReadyNow)
-      enqueueReady(Id);
     if (NumJobs > 1)
       startWorkersLocked();
   }
   trace::counter("jobs.tasks").add(1);
-  if (ReadyNow && NumJobs > 1)
+  if (NumJobs > 1)
     WorkCv.notify_one();
-  return Id;
-}
-
-void JobManager::enqueueReady(TaskId Id) {
-  // Owner-spawned work goes to the bottom of the owner's deque (LIFO
-  // for the owner, cache-warm); everything else lands in the inbox.
-  unsigned Slot = CurrentWorker < NumJobs ? CurrentWorker : NumJobs;
-  Ready[Slot].push_back(Id);
 }
 
 void JobManager::startWorkersLocked() {
@@ -96,60 +75,32 @@ void JobManager::startWorkersLocked() {
         [this, Me = static_cast<unsigned>(Workers.size())] { workerLoop(Me); });
 }
 
-std::vector<JobManager::TaskId> JobManager::completeLocked(TaskId Id) {
-  Task &T = Tasks[Id];
-  T.Done = true;
-  T.Fn = nullptr; // release captures eagerly
-  std::vector<TaskId> Unblocked;
-  for (TaskId Dep : T.Dependents) {
-    assert(Tasks[Dep].PendingDeps > 0);
-    if (--Tasks[Dep].PendingDeps == 0)
-      Unblocked.push_back(Dep);
-  }
-  T.Dependents.clear();
-  --Outstanding;
-  return Unblocked;
-}
-
-void JobManager::runTask(TaskId Id) {
-  std::function<void()> Fn;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Fn = std::move(Tasks[Id].Fn);
-  }
+void JobManager::runTask(Task Fn) {
   std::exception_ptr Err;
   try {
     Fn();
   } catch (...) {
     Err = std::current_exception();
   }
-  size_t NewlyReady;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (Err && !FirstError)
-      FirstError = Err;
-    std::vector<TaskId> Unblocked = completeLocked(Id);
-    NewlyReady = Unblocked.size();
-    for (TaskId Dep : Unblocked)
-      enqueueReady(Dep);
-    if (Outstanding == 0)
-      IdleCv.notify_all();
-  }
-  for (size_t I = 0; I < NewlyReady; ++I)
-    WorkCv.notify_one();
+  Fn = nullptr; // release captures before the task counts as done
+  std::lock_guard<std::mutex> Lock(Mutex);
+  if (Err && !FirstError)
+    FirstError = Err;
+  if (--Outstanding == 0)
+    IdleCv.notify_all();
 }
 
 void JobManager::workerLoop(unsigned Me) {
   CurrentWorker = Me;
   for (;;) {
-    TaskId Id;
+    Task Fn;
     bool Stole = false;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       for (;;) {
         if (!Ready[Me].empty()) {
           // Own deque: pop the most recently pushed task (LIFO).
-          Id = Ready[Me].back();
+          Fn = std::move(Ready[Me].back());
           Ready[Me].pop_back();
           break;
         }
@@ -160,7 +111,7 @@ void JobManager::workerLoop(unsigned Me) {
           unsigned Victim = Off == 0 ? NumJobs : (Me + Off) % NumJobs;
           if (Victim == Me || Ready[Victim].empty())
             continue;
-          Id = Ready[Victim].front();
+          Fn = std::move(Ready[Victim].front());
           Ready[Victim].pop_front();
           Found = true;
           Stole = Victim != NumJobs;
@@ -174,32 +125,32 @@ void JobManager::workerLoop(unsigned Me) {
     }
     if (Stole)
       trace::counter("jobs.steals").add(1);
-    runTask(Id);
+    runTask(std::move(Fn));
   }
 }
 
 void JobManager::wait() {
   if (NumJobs <= 1) {
-    // Inline mode: drain the inbox in dependency-respecting FIFO order
-    // on the calling thread. Tasks may spawn more tasks while we run.
+    // Inline mode: drain the inbox in FIFO order on the calling thread.
+    // Tasks may spawn more tasks while we run.
     for (;;) {
-      TaskId Id;
+      Task Fn;
       {
         std::lock_guard<std::mutex> Lock(Mutex);
         bool Found = false;
         for (unsigned Slot = 0; Slot <= NumJobs && !Found; ++Slot) {
           if (Ready[Slot].empty())
             continue;
-          Id = Ready[Slot].front();
+          Fn = std::move(Ready[Slot].front());
           Ready[Slot].pop_front();
           Found = true;
         }
         if (!Found) {
-          assert(Outstanding == 0 && "unrunnable tasks (dependency cycle?)");
+          assert(Outstanding == 0 && "queued tasks left unrun");
           break;
         }
       }
-      runTask(Id);
+      runTask(std::move(Fn));
     }
   } else {
     std::unique_lock<std::mutex> Lock(Mutex);

@@ -5,28 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A work-stealing thread pool with dependency edges — the dispatch
-/// engine under `--jobs N`. Each worker owns a deque: new work spawned
-/// from inside a task lands at the bottom of the spawning worker's own
-/// deque (LIFO, cache-warm), idle workers steal from the top of a
-/// victim's deque (FIFO, the oldest — and usually largest — task). This
-/// replaces the former flat Scheduler pool, whose single shared task
-/// index serialized dispatch and could not express ordering: here a
-/// task may name dependencies, and it dispatches only after every
-/// dependency completed (the pipeline uses this to run a batch's
-/// shared-prefix solve before its members, and to float Sat-recheck /
-/// escalation work off the batch's critical path).
+/// A work-stealing thread pool — the dispatch engine under `--jobs N`.
+/// Each worker owns a deque: new work spawned from inside a task lands at
+/// the bottom of the spawning worker's own deque (LIFO, cache-warm), idle
+/// workers steal from the top of a victim's deque (FIFO, the oldest —
+/// and usually largest — task). This replaces the former flat Scheduler
+/// pool, whose single shared task index serialized dispatch.
 ///
 /// Concurrency contract:
 ///  - submit() may be called from any thread, including from inside a
 ///    running task (dynamic spawn); wait() covers dynamically spawned
 ///    tasks too.
-///  - A task that throws does not cancel anything: dependents still
-///    run, and wait() rethrows the first exception after every task
-///    finished — `--jobs N` fails exactly like `--jobs 1`.
+///  - A task that throws does not cancel anything: the other tasks
+///    still run, and wait() rethrows the first exception after every
+///    task finished — `--jobs N` fails exactly like `--jobs 1`.
 ///  - With Jobs <= 1 no threads are created: wait() runs every task
-///    inline on the calling thread in submission (FIFO, dependency-
-///    respecting) order, keeping the serial path deterministic.
+///    inline on the calling thread in submission (FIFO) order, keeping
+///    the serial path deterministic.
 ///
 /// Activity feeds the metrics registry: `jobs.tasks` counts every task
 /// executed, `jobs.steals` counts tasks a worker took from another
@@ -38,7 +33,6 @@
 #define IDS_SUPPORT_JOBMANAGER_H
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -51,9 +45,6 @@ namespace jobs {
 
 class JobManager {
 public:
-  /// Dense task handle, valid for the lifetime of this manager.
-  using TaskId = uint32_t;
-
   /// 0 -> hardware_concurrency() (min 1: the detection may report 0).
   static unsigned resolveJobs(unsigned Jobs);
 
@@ -69,12 +60,9 @@ public:
   JobManager(const JobManager &) = delete;
   JobManager &operator=(const JobManager &) = delete;
 
-  /// Enqueues \p Fn to run once every task in \p Deps has completed
-  /// (already-completed dependencies are fine). Callable from inside a
-  /// running task; such children are pushed to the spawning worker's
-  /// own deque.
-  TaskId submit(std::function<void()> Fn,
-                const std::vector<TaskId> &Deps = {});
+  /// Enqueues \p Fn. Callable from inside a running task; such children
+  /// are pushed to the spawning worker's own deque.
+  void submit(std::function<void()> Fn);
 
   /// Blocks until every task — including ones spawned while waiting —
   /// has completed, then rethrows the first captured task exception, if
@@ -85,18 +73,10 @@ public:
   unsigned jobs() const { return NumJobs; }
 
 private:
-  struct Task {
-    std::function<void()> Fn;
-    unsigned PendingDeps = 0;
-    bool Done = false;
-    std::vector<TaskId> Dependents;
-  };
+  using Task = std::function<void()>;
 
   void workerLoop(unsigned Me);
-  void runTask(TaskId Id);
-  /// Marks \p Id done and returns the tasks it unblocked.
-  std::vector<TaskId> completeLocked(TaskId Id);
-  void enqueueReady(TaskId Id);
+  void runTask(Task Fn);
   void startWorkersLocked();
 
   const unsigned NumJobs;
@@ -104,10 +84,9 @@ private:
   std::mutex Mutex; ///< guards everything below
   std::condition_variable WorkCv; ///< workers: new work / stop
   std::condition_variable IdleCv; ///< waiters: Outstanding hit zero
-  std::deque<Task> Tasks;
   /// Per-worker ready deques (index 0..NumJobs-1) plus an inbox for
   /// external submissions at index NumJobs.
-  std::vector<std::deque<TaskId>> Ready;
+  std::vector<std::deque<Task>> Ready;
   std::vector<std::thread> Workers;
   size_t Outstanding = 0; ///< submitted, not yet completed
   bool Stopping = false;

@@ -20,6 +20,7 @@
 #include "driver/Verifier.h"
 #include "driver/VerifierInstance.h"
 #include "structures/Registry.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -387,6 +388,80 @@ TEST(DriverTest, OnlyProcRestrictsVerification) {
   ASSERT_TRUE(R.FrontEndOk) << Diags.toString();
   ASSERT_EQ(R.Procs.size(), 1u);
   EXPECT_EQ(R.Procs[0].Name, Target);
+}
+
+TEST(DriverTest, ModelGiveUpEscalatesAndStillRefutes) {
+  // singly-linked-list's insert_front with `Mut(z.keys, {k} union
+  // x.keys);` dropped: the relevancy-driven array instantiation gives up
+  // building a model for the broken keys conjunct, and the escalation to
+  // the one-shot blind array product must still refute the procedure
+  // with a counterexample.
+  static const char *Mutant = R"IDS(
+structure List {
+  field next: Loc;
+  field key: int;
+  ghost field prev: Loc;
+  ghost field length: int;
+  ghost field keys: set<int>;
+  ghost field hslist: set<Loc>;
+
+  local l (x) {
+    (x.next != nil ==>
+         x.next.prev == x
+      && x.length == x.next.length + 1
+      && x.keys == {x.key} union x.next.keys
+      && x.hslist == {x} duplus x.next.hslist)
+    && (x.prev != nil ==> x.prev.next == x)
+    && (x.next == nil ==>
+         x.length == 1 && x.keys == {x.key} && x.hslist == {x})
+  }
+
+  correlation (y) { y.prev == nil }
+
+  impact next   [l] { x, old(x.next) }
+  impact key    [l] { x, x.prev }
+  impact prev   [l] { x, old(x.prev) }
+  impact length [l] { x, x.prev }
+  impact keys   [l] { x, x.prev }
+  impact hslist [l] { x, x.prev }
+}
+
+procedure insert_front(x: Loc, k: int) returns (r: Loc)
+  requires br(l) == {}
+  requires x != nil && x.prev == nil
+  ensures  br(l) == {}
+  ensures  r != nil && r.prev == nil
+  ensures  r.keys == {k} union old(x.keys)
+  ensures  r.length == old(x.length) + 1
+  ensures  r.next == x
+  modifies {x}
+{
+  var z: Loc;
+  InferLCOutsideBr(l, x);
+  NewObj(z);
+  Mut(z.key, k);
+  Mut(z.next, x);
+  Mut(x.prev, z);
+  Mut(z.length, x.length + 1);
+  Mut(z.hslist, {z} union x.hslist);
+  AssertLCAndRemove(l, x);
+  AssertLCAndRemove(l, z);
+  r := z;
+}
+)IDS";
+  trace::Counter &Escalated = trace::counter("pipeline.escalated_queries");
+  const uint64_t Before = Escalated.value();
+  DiagEngine Diags;
+  driver::VerifyOptions Opts;
+  Opts.Jobs = 1;
+  Opts.CheckImpacts = false;
+  driver::ModuleResult R = driver::verifySource(Mutant, Opts, Diags);
+  ASSERT_TRUE(R.FrontEndOk) << Diags.toString();
+  ASSERT_EQ(R.Procs.size(), 1u);
+  EXPECT_EQ(R.Procs[0].St, driver::Status::Failed);
+  EXPECT_FALSE(R.Procs[0].Counterexample.empty());
+  EXPECT_GE(R.Procs[0].Pipeline.EscalatedQueries, 1u);
+  EXPECT_GE(Escalated.value() - Before, 1u);
 }
 
 } // namespace

@@ -191,9 +191,8 @@ TEST_F(ObservabilityTest, SlowQueryLogRecordsEveryQueryAtTinyThreshold) {
     EXPECT_EQ(V.get("vc")->asString().size(), 32u);
     ++Records;
   }
-  // At least one record per solved query (batched members may also log a
-  // sat-recheck row, so >= rather than ==).
-  EXPECT_GE(Records, Agg.Queries);
+  // Exactly one record per solved query.
+  EXPECT_EQ(Records, Agg.Queries);
   std::remove(Path.c_str());
 
   // Counter mirror of the log volume.

@@ -1,10 +1,12 @@
 # Serve-mode smoke test. Invoked by ctest as
 #   cmake -DIDS_VERIFY=<exe> -DWORKDIR=<dir> -P RunServe.cmake
 #
-# Spawns `ids-verify serve`, pipes it a session of three requests —
-# valid, malformed, valid — and checks that:
-#   * the daemon answers every line and exits 0 (the malformed request
-#     is answered with an error, it does not kill the process);
+# Spawns `ids-verify serve`, pipes it a session of requests — valid,
+# malformed, valid, stats, a module nested 200,000 levels deep, valid —
+# and checks that:
+#   * the daemon answers every line and exits 0 (the malformed and the
+#     deeply nested requests are answered with errors, they do not kill
+#     the process, and the request after them is still answered);
 #   * both valid answers report ok:true with all procedures verified;
 #   * every ("name","status") pair in a serve answer matches the verdict
 #     the one-shot CLI prints for the same benchmark (the acceptance
@@ -18,11 +20,19 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
 set(Requests "${WORKDIR}/requests.jsonl")
+string(REPEAT "!" 200000 Bangs)
+set(DeepModule "structure S { field next: Loc; ghost field prev: Loc; \
+local l (x) { (x.next != nil ==> x.next.prev == x) } \
+correlation (y) { y.prev == nil } impact next [l] { x, old(x.next) } \
+impact prev [l] { x, old(x.prev) } } \
+procedure p() returns (r: bool) { r := ${Bangs}true; }")
 file(WRITE "${Requests}"
 "{\"id\":1,\"benchmark\":\"singly-linked-list\"}
 this line is not JSON
 {\"id\":3,\"benchmark\":\"bst\"}
 {\"id\":4,\"cmd\":\"stats\"}
+{\"id\":5,\"source\":\"${DeepModule}\"}
+{\"id\":6,\"benchmark\":\"singly-linked-list\"}
 ")
 
 execute_process(
@@ -40,17 +50,19 @@ endif()
 string(REGEX REPLACE "\n$" "" Trimmed "${Out}")
 string(REPLACE "\n" ";" Lines "${Trimmed}")
 list(LENGTH Lines NumLines)
-if(NOT NumLines EQUAL 4)
-  message(FATAL_ERROR "expected 4 response lines, got ${NumLines}\n${Out}")
+if(NOT NumLines EQUAL 6)
+  message(FATAL_ERROR "expected 6 response lines, got ${NumLines}\n${Out}")
 endif()
 
 list(GET Lines 0 Resp1)
 list(GET Lines 1 Resp2)
 list(GET Lines 2 Resp3)
 list(GET Lines 3 Resp4)
+list(GET Lines 4 Resp5)
+list(GET Lines 5 Resp6)
 
 # Every response — success or error — reports its wall clock.
-foreach(Var Resp1 Resp2 Resp3 Resp4)
+foreach(Var Resp1 Resp2 Resp3 Resp4 Resp5 Resp6)
   string(FIND "${${Var}}" "\"elapsed_ms\":" P)
   if(P EQUAL -1)
     message(FATAL_ERROR "response lacks elapsed_ms: ${${Var}}")
@@ -78,7 +90,7 @@ foreach(Var Resp1 Resp3)
   endif()
 endforeach()
 
-foreach(Pair "Resp1|\"id\":1" "Resp3|\"id\":3")
+foreach(Pair "Resp1|\"id\":1" "Resp3|\"id\":3" "Resp6|\"id\":6")
   string(REPLACE "|" ";" Parts "${Pair}")
   list(GET Parts 0 Var)
   list(GET Parts 1 Tag)
@@ -104,6 +116,16 @@ string(FIND "${Resp2}" "\"error\":\"invalid request" P)
 if(P EQUAL -1)
   message(FATAL_ERROR "malformed request must report a parse error: ${Resp2}")
 endif()
+
+# The deeply nested module is rejected by the parser's depth cap with
+# an ordinary front-end error, not a crash of the daemon.
+foreach(Tag "\"id\":5" "\"ok\":false" "nesting exceeds the maximum depth")
+  string(FIND "${Resp5}" "${Tag}" P)
+  if(P EQUAL -1)
+    message(FATAL_ERROR "deep-nesting request not answered with ${Tag}: "
+            "${Resp5}")
+  endif()
+endforeach()
 
 # Each serve verdict must match the one-shot CLI's verdict for the same
 # procedure: one-shot prints ` NAME ... STATUS` per procedure, serve

@@ -46,7 +46,7 @@ endif()
 # events must be complete ("ph":"X") with VC-hash attribution on solves.
 foreach(Tag "\"traceEvents\":" "\"ph\":\"X\"" "pipeline.simplify"
         "pipeline.slice" "pipeline.cache_probe" "pipeline.solve"
-        "pipeline.batch_group" "driver.proc" "driver.request")
+        "driver.proc" "driver.request")
   string(FIND "${Trace}" "${Tag}" P)
   if(P EQUAL -1)
     message(FATAL_ERROR "trace.json lacks ${Tag}")

@@ -246,10 +246,10 @@ TEST(PipelineTest, UnknownOnBudgetExhaustion) {
   EXPECT_NE(R.V, Verdict::Failed);
 }
 
-TEST(PipelineTest, IncrementalBatchingPreservesVerdicts) {
-  // Obligations sharing a long guard prefix (the shape prefix batching
-  // targets): incremental and one-shot modes must agree, including on a
-  // failing member whose batch Sat is re-confirmed one-shot.
+TEST(PipelineTest, ContextAndOneShotSolvesAgree) {
+  // Obligations sharing a long guard prefix: the per-query SolverContext
+  // and the one-shot reference solver must agree on every verdict,
+  // including the failing obligation's counterexample.
   TermManager TM;
   TermRef X = TM.mkVar("x", TM.intSort());
   TermRef Y = TM.mkVar("y", TM.intSort());
@@ -276,13 +276,6 @@ TEST(PipelineTest, IncrementalBatchingPreservesVerdicts) {
     EXPECT_NE(R.FailedDescription.find("wrong-eq"), std::string::npos)
         << "incremental=" << Incremental;
     EXPECT_FALSE(R.Counterexample.empty());
-    if (Incremental) {
-      EXPECT_GE(R.St.PrefixGroups, 1u);
-      EXPECT_GE(R.St.ContextReuses, 1u);
-      EXPECT_GE(R.St.IncrSatRechecks, 1u);
-    } else {
-      EXPECT_EQ(R.St.PrefixGroups, 0u);
-    }
   }
 }
 

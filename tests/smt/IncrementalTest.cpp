@@ -6,15 +6,16 @@
 ///
 /// \file
 /// Unit tests for the incremental solving core: SatSolver assertion
-/// levels (clause retraction, lemma retention), CongruenceClosure and
-/// ArithSolver push/pop trails, the level-aware ArrayReducer, and the
-/// SolverContext assertion-stack protocol.
+/// levels (clause retraction), CongruenceClosure and ArithSolver push/pop
+/// trails, the level-aware ArrayReducer, and the SolverContext
+/// assertion-stack protocol.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "smt/ArrayReduction.h"
 #include "smt/SolverContext.h"
 #include "smt/Solver.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -387,6 +388,26 @@ TEST_F(ContextTest, PerCheckStatsAreDeltas) {
   // The second check's window must not include the first check's count.
   EXPECT_LT(Ctx.lastCheckStats().TheoryChecks, FirstChecks + 10);
   Ctx.pop();
+}
+
+TEST_F(ContextTest, ArrayLemmasCountedAtAssert) {
+  // The reducer emits every array lemma while the assertion is encoded,
+  // so smt.array_lemmas must rise in assertTerm by exactly the context's
+  // own lemma count, and the check must not add to it.
+  trace::Counter &Lemmas = trace::counter("smt.array_lemmas");
+  const uint64_t Before = Lemmas.value();
+  SolverContext Ctx(TM, Opts);
+  const Sort *IntInt = TM.getArraySort(TM.intSort(), TM.intSort());
+  TermRef A = TM.mkVar("a", IntInt);
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  TermRef St = TM.mkStore(A, X, TM.mkIntConst(7));
+  Ctx.assertTerm(TM.mkAnd(TM.mkEq(TM.mkSelect(St, Y), TM.mkIntConst(3)),
+                          TM.mkEq(TM.mkSelect(A, Y), TM.mkIntConst(3))));
+  ASSERT_GT(Ctx.numArrayLemmas(), 0u);
+  EXPECT_EQ(Lemmas.value() - Before, Ctx.numArrayLemmas());
+  EXPECT_EQ(Ctx.checkSat(), SolverResult::Sat);
+  EXPECT_EQ(Lemmas.value() - Before, Ctx.numArrayLemmas());
 }
 
 TEST_F(ContextTest, TheoryPropReasonsAcrossPop) {

@@ -64,60 +64,6 @@ TEST(JobManagerTest, WaitIsReusable) {
   EXPECT_EQ(Count.load(), 2);
 }
 
-TEST(JobManagerTest, DependencyChainOrdersExecution) {
-  for (unsigned Jobs : {1u, 4u}) {
-    JobManager JM(Jobs);
-    std::vector<int> Order;
-    std::mutex OrderMutex;
-    auto Record = [&Order, &OrderMutex](int I) {
-      std::lock_guard<std::mutex> Lock(OrderMutex);
-      Order.push_back(I);
-    };
-    JobManager::TaskId Prev = JM.submit([&Record] { Record(0); });
-    for (int I = 1; I < 20; ++I)
-      Prev = JM.submit([&Record, I] { Record(I); }, {Prev});
-    JM.wait();
-    ASSERT_EQ(Order.size(), 20u) << "jobs=" << Jobs;
-    for (int I = 0; I < 20; ++I)
-      EXPECT_EQ(Order[I], I) << "jobs=" << Jobs;
-  }
-}
-
-TEST(JobManagerTest, DiamondDependency) {
-  JobManager JM(4);
-  std::atomic<bool> RootDone{false};
-  std::atomic<int> MidDone{0};
-  std::atomic<bool> SinkSawBoth{false};
-  JobManager::TaskId Root = JM.submit([&RootDone] { RootDone = true; });
-  JobManager::TaskId A = JM.submit(
-      [&RootDone, &MidDone] {
-        EXPECT_TRUE(RootDone.load());
-        MidDone.fetch_add(1);
-      },
-      {Root});
-  JobManager::TaskId B = JM.submit(
-      [&RootDone, &MidDone] {
-        EXPECT_TRUE(RootDone.load());
-        MidDone.fetch_add(1);
-      },
-      {Root});
-  JM.submit([&MidDone, &SinkSawBoth] { SinkSawBoth = MidDone.load() == 2; },
-            {A, B});
-  JM.wait();
-  EXPECT_TRUE(SinkSawBoth.load());
-}
-
-TEST(JobManagerTest, DependencyOnCompletedTask) {
-  JobManager JM(2);
-  std::atomic<int> Count{0};
-  JobManager::TaskId First = JM.submit([&Count] { Count.fetch_add(1); });
-  JM.wait();
-  ASSERT_EQ(Count.load(), 1);
-  JM.submit([&Count] { Count.fetch_add(1); }, {First});
-  JM.wait();
-  EXPECT_EQ(Count.load(), 2);
-}
-
 TEST(JobManagerTest, DynamicSpawnFromInsideTask) {
   for (unsigned Jobs : {1u, 4u}) {
     JobManager JM(Jobs);
@@ -211,16 +157,6 @@ TEST(JobManagerTest, FirstExceptionWins) {
   } catch (const std::runtime_error &E) {
     EXPECT_STREQ(E.what(), "first");
   }
-}
-
-TEST(JobManagerTest, DependentsRunAfterFailedDependency) {
-  JobManager JM(2);
-  std::atomic<bool> DependentRan{false};
-  JobManager::TaskId Bad =
-      JM.submit([] { throw std::runtime_error("dep failed"); });
-  JM.submit([&DependentRan] { DependentRan = true; }, {Bad});
-  EXPECT_THROW(JM.wait(), std::runtime_error);
-  EXPECT_TRUE(DependentRan.load());
 }
 
 // Deterministic shutdown: destroying a manager with tasks still queued
