@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parallel-scaling benchmark for the work-stealing job system behind
+/// Parallel-scaling benchmark for the thread pool behind
 /// --jobs: runs the full embedded suite (the `--benchmark all` workload,
 /// procedures + impact checks) at --jobs 1, 2, 4 and 8, records the
 /// wall-clock of each sweep plus every per-procedure verdict, and writes
@@ -17,7 +17,7 @@
 ///    parallelism-induced verdict flip is exactly the regression this
 ///    benchmark exists to catch), and
 ///  - on hardware with >= 4 cores, the --jobs 4 sweep must not be slower
-///    than --jobs 1 (work-stealing overhead must be paid for).
+///    than --jobs 1 (dispatch overhead must be paid for).
 ///
 /// Any violation makes the exit code nonzero. On boxes with fewer than 4
 /// cores the speedup gate is skipped with a warning (the verdict gate

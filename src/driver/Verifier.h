@@ -96,7 +96,7 @@ struct VerifyOptions {
   bool SimplifyVc = true;  ///< --no-simp
   bool SliceVc = true;     ///< --no-slice
   bool CacheQueries = true; ///< --no-cache
-  /// Solve each query on a fresh incremental SolverContext;
+  /// Solve each query on a fresh SolverContext;
   /// --no-incremental solves every query on the one-shot reference solver.
   bool Incremental = true;
   /// Activity-based learned-clause deletion in the SAT core;

@@ -68,22 +68,41 @@ private:
     Failed = true;
   }
 
-  /// Bounds the recursion of the descent (unary chains, bracketed
-  /// subexpressions, right-nested implications, nested blocks), so deeply
-  /// nested input gets a diagnostic instead of overflowing the stack. A
-  /// guard that finds the cap exceeded reports it; the caller then bails
-  /// out with nullptr like on any other parse error.
+  /// Bounds the depth of the AST (unary chains, bracketed subexpressions,
+  /// right-nested implications, nested blocks, and every application in a
+  /// left-associative operator or field-read chain), so deep input gets a
+  /// diagnostic instead of overflowing the stack of the parser or of a
+  /// later recursive walker. A guard that finds the cap exceeded reports
+  /// it; the caller then bails out with nullptr like on any other parse
+  /// error.
   static constexpr unsigned MaxNestingDepth = 256;
+  /// Enters one more nesting level; false (with the diagnostic) once the
+  /// cap is exceeded. The caller releases the level by decrementing Depth.
+  bool enterLevel() {
+    if (++Depth <= MaxNestingDepth)
+      return true;
+    error("nesting exceeds the maximum depth of " +
+          std::to_string(MaxNestingDepth));
+    return false;
+  }
   struct DepthGuard {
     Parser &P;
     bool TooDeep;
-    explicit DepthGuard(Parser &P)
-        : P(P), TooDeep(++P.Depth > MaxNestingDepth) {
-      if (TooDeep)
-        P.error("nesting exceeds the maximum depth of " +
-                std::to_string(MaxNestingDepth));
-    }
+    explicit DepthGuard(Parser &P) : P(P), TooDeep(!P.enterLevel()) {}
     ~DepthGuard() { --P.Depth; }
+  };
+  /// A left-associative chain is parsed by a loop, but each application
+  /// nests the AST one level deeper: next() counts it toward the cap, and
+  /// the levels are released when the chain ends.
+  struct ChainGuard {
+    Parser &P;
+    unsigned Applied = 0;
+    explicit ChainGuard(Parser &P) : P(P) {}
+    bool next() {
+      ++Applied;
+      return P.enterLevel();
+    }
+    ~ChainGuard() { P.Depth -= Applied; }
   };
 
   // --- grammar ---
@@ -273,7 +292,10 @@ Expr *Parser::parsePrimary() {
 
 Expr *Parser::parsePostfix() {
   Expr *E = parsePrimary();
+  ChainGuard Chain(*this);
   while (E && check(TokKind::Dot)) {
+    if (!Chain.next())
+      return nullptr;
     SourceLoc Loc = peek().Loc;
     advance();
     std::string Field = expectName("a field name");
@@ -313,61 +335,51 @@ Expr *Parser::parseUnary() {
 
 Expr *Parser::parseMultiplicative() {
   Expr *E = parseUnary();
+  ChainGuard Chain(*this);
   for (;;) {
     SourceLoc Loc = peek().Loc;
-    if (accept(TokKind::Star)) {
-      Expr *R = parseUnary();
-      if (!R)
-        return nullptr;
-      E = mkBin(BinOp::Mul, E, R, Loc);
-    } else if (accept(TokKind::Slash)) {
-      Expr *R = parseUnary();
-      if (!R)
-        return nullptr;
-      E = mkBin(BinOp::Div, E, R, Loc);
-    } else if (acceptIdent("isect")) {
-      Expr *R = parseUnary();
-      if (!R)
-        return nullptr;
-      E = mkBin(BinOp::Isect, E, R, Loc);
-    } else {
+    BinOp Op;
+    if (accept(TokKind::Star))
+      Op = BinOp::Mul;
+    else if (accept(TokKind::Slash))
+      Op = BinOp::Div;
+    else if (acceptIdent("isect"))
+      Op = BinOp::Isect;
+    else
       return E;
-    }
+    if (!Chain.next())
+      return nullptr;
+    Expr *R = parseUnary();
+    if (!R)
+      return nullptr;
+    E = mkBin(Op, E, R, Loc);
   }
 }
 
 Expr *Parser::parseAdditive() {
   Expr *E = parseMultiplicative();
+  ChainGuard Chain(*this);
   for (;;) {
     SourceLoc Loc = peek().Loc;
-    if (accept(TokKind::Plus)) {
-      Expr *R = parseMultiplicative();
-      if (!R)
-        return nullptr;
-      E = mkBin(BinOp::Add, E, R, Loc);
-    } else if (accept(TokKind::Minus)) {
-      Expr *R = parseMultiplicative();
-      if (!R)
-        return nullptr;
-      E = mkBin(BinOp::Sub, E, R, Loc);
-    } else if (acceptIdent("union")) {
-      Expr *R = parseMultiplicative();
-      if (!R)
-        return nullptr;
-      E = mkBin(BinOp::Union, E, R, Loc);
-    } else if (acceptIdent("setminus")) {
-      Expr *R = parseMultiplicative();
-      if (!R)
-        return nullptr;
-      E = mkBin(BinOp::SetMinus, E, R, Loc);
-    } else if (acceptIdent("duplus")) {
-      Expr *R = parseMultiplicative();
-      if (!R)
-        return nullptr;
-      E = mkBin(BinOp::DuPlus, E, R, Loc);
-    } else {
+    BinOp Op;
+    if (accept(TokKind::Plus))
+      Op = BinOp::Add;
+    else if (accept(TokKind::Minus))
+      Op = BinOp::Sub;
+    else if (acceptIdent("union"))
+      Op = BinOp::Union;
+    else if (acceptIdent("setminus"))
+      Op = BinOp::SetMinus;
+    else if (acceptIdent("duplus"))
+      Op = BinOp::DuPlus;
+    else
       return E;
-    }
+    if (!Chain.next())
+      return nullptr;
+    Expr *R = parseMultiplicative();
+    if (!R)
+      return nullptr;
+    E = mkBin(Op, E, R, Loc);
   }
 }
 
@@ -403,7 +415,10 @@ Expr *Parser::parseRelational() {
 
 Expr *Parser::parseAnd() {
   Expr *E = parseRelational();
+  ChainGuard Chain(*this);
   while (E && check(TokKind::AndAnd)) {
+    if (!Chain.next())
+      return nullptr;
     SourceLoc Loc = peek().Loc;
     advance();
     Expr *R = parseRelational();
@@ -416,7 +431,10 @@ Expr *Parser::parseAnd() {
 
 Expr *Parser::parseOr() {
   Expr *E = parseAnd();
+  ChainGuard Chain(*this);
   while (E && check(TokKind::OrOr)) {
+    if (!Chain.next())
+      return nullptr;
     SourceLoc Loc = peek().Loc;
     advance();
     Expr *R = parseAnd();
@@ -445,7 +463,10 @@ Expr *Parser::parseImplies() {
 
 Expr *Parser::parseIff() {
   Expr *E = parseImplies();
+  ChainGuard Chain(*this);
   while (E && check(TokKind::Iff)) {
+    if (!Chain.next())
+      return nullptr;
     SourceLoc Loc = peek().Loc;
     advance();
     Expr *R = parseImplies();

@@ -104,7 +104,7 @@ void Stats::merge(const Stats &O) {
 namespace {
 
 /// Solves batches of queries with dedup, caching and parallel dispatch
-/// through the work-stealing JobManager. Queries are terms of the
+/// through the JobManager thread pool. Queries are terms of the
 /// caller's manager, which must stay FROZEN for the duration of solve():
 /// every solve happens in a private snapshot-overlay manager that shares
 /// the frozen base read-only and pays only for its own delta — the
@@ -151,7 +151,7 @@ public:
         RunList.push_back(I);
     }
 
-    // Dispatch: every query is an independent stealable task.
+    // Dispatch: every query is an independent pool task.
     {
       jobs::JobManager JM(Opts.Jobs);
       for (size_t Idx : RunList)
@@ -206,9 +206,9 @@ private:
       SolverContext Ctx(Local, SOpts);
       Ctx.assertTerm(Query);
       O.R = Ctx.checkSat();
-      O.NumAtoms = Ctx.lastCheckStats().NumAtoms;
+      O.NumAtoms = Ctx.stats().NumAtoms;
       O.NumArrayLemmas = Ctx.numArrayLemmas();
-      GaveUp = Ctx.lastCheckStats().ModelGiveUps > 0;
+      GaveUp = Ctx.stats().ModelGiveUps > 0;
       if (O.R == Solver::Result::Sat)
         O.ModelText = Ctx.model().toString();
       return O;

@@ -9,8 +9,8 @@
 /// obligation is simplified (Simplify.h), sliced to the claim's cone of
 /// influence (Slice.h), deduplicated against a structural query cache
 /// (QueryCache.h), and every surviving query is an independent task on a
-/// work-stealing job system (support/JobManager.h). Each task solves its
-/// query on a fresh incremental SolverContext, the query as its single
+/// FIFO thread pool (support/JobManager.h). Each task solves its
+/// query on a fresh SolverContext, the query as its single
 /// assertion, in a snapshot overlay of the (frozen) caller TermManager,
 /// so workers share the read-mostly term structure and pay only for
 /// their own delta. A model give-up escalates to the one-shot solver's

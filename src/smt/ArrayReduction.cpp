@@ -488,13 +488,12 @@ TermRef smt::reduceArrays(TermManager &TM, TermRef Formula,
 }
 
 //===----------------------------------------------------------------------===//
-// ArrayReducer: incremental, level-aware demand closure.
+// ArrayReducer: incremental demand closure.
 //===----------------------------------------------------------------------===//
 
 void ArrayReducer::collectNewSubterms(TermRef T, std::vector<TermRef> &Out) {
   if (!KnownTerms.insert(T).second)
     return;
-  Trail.push_back({Undo::KnownTerm, T});
   Out.push_back(T);
   for (TermRef A : T->getArgs())
     collectNewSubterms(A, Out);
@@ -505,7 +504,6 @@ void ArrayReducer::demand(TermRef A, TermRef I) {
     return;
   if (!Need.insert({A, I}).second)
     return;
-  Trail.push_back({Undo::NeedAdd, A, I});
   DemandedIndices[A].push_back(I);
   Work.emplace_back(A, I);
 }
@@ -513,7 +511,6 @@ void ArrayReducer::demand(TermRef A, TermRef I) {
 void ArrayReducer::markUp(TermRef T) {
   if (!T->getSort()->isArray() || !UpSet.insert(T).second)
     return;
-  Trail.push_back({Undo::UpSetAdd, T});
   switch (T->getKind()) {
   case TermKind::Store:
   case TermKind::MapOr:
@@ -523,7 +520,6 @@ void ArrayReducer::markUp(TermRef T) {
     for (TermRef O : T->getArgs())
       if (O->getSort()->isArray()) {
         UpEdges[O].push_back(T);
-        Trail.push_back({Undo::UpEdgePush, O});
         // A new upward edge must carry the operand's existing demands.
         auto It = DemandedIndices.find(O);
         if (It != DemandedIndices.end()) {
@@ -542,7 +538,6 @@ void ArrayReducer::markUp(TermRef T) {
 void ArrayReducer::emitLemma(TermRef L) {
   if (!EmittedLemmas.insert(L).second)
     return;
-  Trail.push_back({Undo::LemmaAdd, L});
   NewLemmas.push_back(L);
   ++Stats.NumLemmas;
 }
@@ -603,7 +598,6 @@ void ArrayReducer::emitEqLemma(TermRef EqT, TermRef I) {
 void ArrayReducer::considerEqAtom(TermRef EqT) {
   if (!EqAtoms.insert(EqT).second)
     return;
-  Trail.push_back({Undo::EqAtomAdd, EqT});
   TermRef A = EqT->getArg(0), B = EqT->getArg(1);
   // Only selects that FOLD at construction need read-over-equality: const
   // arrays (every index folds) and stores (their own index folds). Selects
@@ -614,7 +608,6 @@ void ArrayReducer::considerEqAtom(TermRef EqT) {
   if (ConstInvolved) {
     TermRef NonConst = A->getKind() == TermKind::ConstArray ? B : A;
     ConstEqIndex[NonConst].push_back(EqT);
-    Trail.push_back({Undo::ConstEqPush, NonConst});
     auto It = DemandedIndices.find(NonConst);
     if (It != DemandedIndices.end()) {
       std::vector<TermRef> Existing = It->second;
@@ -675,8 +668,7 @@ std::vector<TermRef> ArrayReducer::assertFormula(TermRef F) {
   collectNewSubterms(F, Inputs);
 
   // Extensionality witnesses for array equalities occurring negatively
-  // (once per equality per active level; popped witnesses re-emit with a
-  // fresh witness variable on re-assertion).
+  // (once per equality over the reducer's lifetime).
   {
     std::unordered_map<TermRef, int> Polarities;
     std::unordered_map<TermRef, int> Seen;
@@ -685,7 +677,6 @@ std::vector<TermRef> ArrayReducer::assertFormula(TermRef F) {
     for (TermRef EqTerm : NegEqs) {
       if (!WitnessedNegEqs.insert(EqTerm).second)
         continue;
-      Trail.push_back({Undo::WitnessAdd, EqTerm});
       TermRef A = EqTerm->getArg(0), B = EqTerm->getArg(1);
       TermRef W = TM.mkFreshVar("extw", A->getSort()->getKey());
       // a == b  \/  a[w] != b[w]
@@ -705,19 +696,15 @@ std::vector<TermRef> ArrayReducer::assertFormula(TermRef F) {
     if (T->getKind() == TermKind::Select || T->getKind() == TermKind::Store) {
       TermRef Index = T->getArg(1);
       const Sort *KeySort = T->getArg(0)->getSort()->getKey();
-      if (IndexSeen.insert({KeySort, Index}).second) {
-        Trail.push_back({Undo::IndexTerm, Index, nullptr, KeySort});
+      if (IndexSeen.insert({KeySort, Index}).second)
         ++Stats.NumIndexTerms;
-      }
     }
     if (T->getKind() == TermKind::Select)
       demand(T->getArg(0), T->getArg(1));
     if (T->getKind() == TermKind::Eq && T->getArg(0)->getSort()->isArray()) {
       TermRef A = T->getArg(0), B = T->getArg(1);
       EqAdj[A].push_back(B);
-      Trail.push_back({Undo::EqAdjPush, A});
       EqAdj[B].push_back(A);
-      Trail.push_back({Undo::EqAdjPush, B});
       // A new equality edge carries existing demands across.
       for (TermRef Side : {A, B}) {
         TermRef Other = Side == A ? B : A;
@@ -735,52 +722,4 @@ std::vector<TermRef> ArrayReducer::assertFormula(TermRef F) {
   }
   processWork();
   return std::move(NewLemmas);
-}
-
-void ArrayReducer::push() {
-  assert(Work.empty() && "push mid-assertion");
-  Levels.push_back(Trail.size());
-}
-
-void ArrayReducer::pop() {
-  assert(!Levels.empty() && "pop without matching push");
-  size_t Mark = Levels.back();
-  Levels.pop_back();
-  while (Trail.size() > Mark) {
-    Undo U = Trail.back();
-    Trail.pop_back();
-    switch (U.K) {
-    case Undo::KnownTerm:
-      KnownTerms.erase(U.A);
-      break;
-    case Undo::IndexTerm:
-      IndexSeen.erase({U.S, U.A});
-      break;
-    case Undo::EqAdjPush:
-      EqAdj[U.A].pop_back();
-      break;
-    case Undo::UpEdgePush:
-      UpEdges[U.A].pop_back();
-      break;
-    case Undo::UpSetAdd:
-      UpSet.erase(U.A);
-      break;
-    case Undo::NeedAdd:
-      Need.erase({U.A, U.B});
-      DemandedIndices[U.A].pop_back();
-      break;
-    case Undo::EqAtomAdd:
-      EqAtoms.erase(U.A);
-      break;
-    case Undo::ConstEqPush:
-      ConstEqIndex[U.A].pop_back();
-      break;
-    case Undo::WitnessAdd:
-      WitnessedNegEqs.erase(U.A);
-      break;
-    case Undo::LemmaAdd:
-      EmittedLemmas.erase(U.A);
-      break;
-    }
-  }
 }

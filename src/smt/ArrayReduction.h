@@ -56,15 +56,12 @@ TermRef reduceArrays(TermManager &TM, TermRef Formula,
 /// by `(cond => v = then) && (!cond => v = else)` hoisted to the top level.
 TermRef liftItes(TermManager &TM, TermRef Formula);
 
-/// Incremental, level-aware variant of reduceArrays for the assertion-stack
-/// SolverContext: the demand closure (selects seed demands; demands peel
-/// through store/combinator structure, flow across array-equality atoms and
-/// up through the operand closure of equality sides) is maintained
-/// persistently across assertFormula calls, so instantiations triggered by
-/// a lower assertion level are computed once and survive every push above
-/// it. push()/pop() bracket assertion levels: demands, equality
-/// edges and emitted-lemma records made above a popped level are retracted,
-/// so a later re-assertion re-derives exactly the lemmas it needs.
+/// Incremental variant of reduceArrays for the SolverContext: the demand
+/// closure (selects seed demands; demands peel through store/combinator
+/// structure, flow across array-equality atoms and up through the operand
+/// closure of equality sides) is maintained across assertFormula calls,
+/// so each call returns only the lemmas its formula adds to the closure of
+/// everything asserted before it. Nothing is ever retracted.
 ///
 /// Produces the same lemma SET as the one-shot reduceArrays for the same
 /// total assertion set (the closure rules are monotone, so incremental
@@ -78,37 +75,13 @@ public:
   explicit ArrayReducer(TermManager &TM) : TM(TM) {}
 
   /// Ingests an (ite-lifted, quantifier-free) assertion and returns the
-  /// reduction lemmas newly required by it, given everything asserted on
-  /// the active levels so far. The caller asserts them alongside the
-  /// formula at the current level.
+  /// reduction lemmas newly required by it, given everything asserted so
+  /// far. The caller asserts them alongside the formula.
   std::vector<TermRef> assertFormula(TermRef F);
-
-  void push();
-  void pop();
-  unsigned numLevels() const { return static_cast<unsigned>(Levels.size()); }
 
   const ArrayReductionStats &stats() const { return Stats; }
 
 private:
-  struct Undo {
-    enum Kind : uint8_t {
-      KnownTerm,
-      IndexTerm,
-      EqAdjPush,
-      UpEdgePush,
-      UpSetAdd,
-      NeedAdd,
-      EqAtomAdd,
-      ConstEqPush,
-      WitnessAdd,
-      LemmaAdd,
-    };
-    Kind K;
-    TermRef A = nullptr;
-    TermRef B = nullptr;
-    const Sort *S = nullptr;
-  };
-
   /// Hash of a pointer pair, for the membership-only sets below.
   struct PairHash {
     template <class A, class B>
@@ -142,14 +115,11 @@ private:
   /// demand on that side must emit the read-over-equality lemma late.
   std::unordered_map<TermRef, std::vector<TermRef>> ConstEqIndex;
   std::unordered_set<TermRef> WitnessedNegEqs;
-  /// Everything emitted on an active level (dedup).
+  /// Everything emitted so far (dedup).
   std::unordered_set<TermRef> EmittedLemmas;
 
   std::vector<std::pair<TermRef, TermRef>> Work; // demand worklist
   std::vector<TermRef> NewLemmas; // collected during the current assert
-
-  std::vector<Undo> Trail;
-  std::vector<size_t> Levels;
 };
 
 } // namespace smt

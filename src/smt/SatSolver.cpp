@@ -18,7 +18,6 @@ Var SatSolver::newVar() {
   Assign.push_back(LBool::Undef);
   Level.push_back(0);
   ReasonIdx.push_back(-1);
-  RootAssertLevel.push_back(0);
   VarOcc.push_back(0);
   IsTheoryVar.push_back(0);
   Activity.push_back(0.0);
@@ -112,9 +111,9 @@ void SatSolver::bumpOcc(const std::vector<Lit> &Lits, int Delta) {
 }
 
 int SatSolver::allocClause(std::vector<Lit> Lits, bool Learned,
-                           unsigned AssertLevel, bool ReasonOnly) {
+                           bool ReasonOnly) {
   // ReasonOnly clauses are invisible to the clause economy: no watches,
-  // no VarOcc (they must not revive stale-atom suppression), no learned
+  // no VarOcc (they must not revive an unconstrained variable), no learned
   // count (they are freed on unassignment, not by reduceDB).
   if (!ReasonOnly)
     bumpOcc(Lits, +1);
@@ -122,12 +121,10 @@ int SatSolver::allocClause(std::vector<Lit> Lits, bool Learned,
   if (!FreeClauseSlots.empty()) {
     Idx = FreeClauseSlots.back();
     FreeClauseSlots.pop_back();
-    Clauses[Idx] = {std::move(Lits), Learned, false, ReasonOnly,
-                    AssertLevel, 0.0};
+    Clauses[Idx] = {std::move(Lits), Learned, false, ReasonOnly, 0.0};
   } else {
     Idx = static_cast<int>(Clauses.size());
-    Clauses.push_back(
-        {std::move(Lits), Learned, false, ReasonOnly, AssertLevel, 0.0});
+    Clauses.push_back({std::move(Lits), Learned, false, ReasonOnly, 0.0});
   }
   ++NumLiveClauses;
   if (Learned && !ReasonOnly) {
@@ -204,25 +201,16 @@ void SatSolver::reduceDB() {
   MaxLearned += MaxLearned / 5 + 1;
 }
 
-void SatSolver::markUnsat(unsigned Level_) {
-  if (UnsatAssertLevel < 0 || static_cast<unsigned>(UnsatAssertLevel) > Level_)
-    UnsatAssertLevel = static_cast<int>(Level_);
-}
-
 bool SatSolver::addClause(std::vector<Lit> Lits) {
   assert(currentLevel() == 0 && "clauses must be added at level zero");
-  if (unsatAtCurrentLevel())
+  if (Unsat)
     return false;
-  // Simplify: drop duplicate/false literals, detect tautologies. Root
-  // assignments consulted here were all derived at assertion levels at or
-  // below the current one (assertions only happen at the top level), so
-  // the simplified clause is valid exactly as long as its own level.
+  // Simplify: drop duplicate/false literals, detect tautologies.
   std::sort(Lits.begin(), Lits.end(),
             [](Lit A, Lit B) { return A.Code < B.Code; });
   Lits.erase(std::unique(Lits.begin(), Lits.end()), Lits.end());
   // Root-false literals are dropped in place.
   size_t NumKept = 0;
-  unsigned ClauseLevel = CurrentAssertLevel;
   for (size_t I = 0; I < Lits.size(); ++I) {
     if (I + 1 < Lits.size() && Lits[I + 1] == ~Lits[I])
       return true; // tautology
@@ -234,23 +222,18 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
   }
   Lits.resize(NumKept);
   if (Lits.empty()) {
-    markUnsat(ClauseLevel);
+    Unsat = true;
     return false;
   }
   if (Lits.size() == 1) {
-    // The unit conclusion rests on the clause plus the dropped root-false
-    // literals; record that so a later pop can retract the assignment.
-    // (All contributing levels are <= ClauseLevel; being exact does not
-    // matter here, only soundness of retraction.)
     enqueue(Lits[0], -1);
-    RootAssertLevel[Lits[0].var()] = ClauseLevel;
     if (propagate() != -1) {
-      markUnsat(CurrentAssertLevel);
+      Unsat = true;
       return false;
     }
     return true;
   }
-  int Idx = allocClause(std::move(Lits), false, ClauseLevel);
+  int Idx = allocClause(std::move(Lits), false);
   attachClause(Idx);
   return true;
 }
@@ -261,21 +244,6 @@ void SatSolver::enqueue(Lit L, int Reason) {
   Assign[V] = L.negated() ? LBool::False : LBool::True;
   Level[V] = currentLevel();
   ReasonIdx[V] = Reason;
-  if (currentLevel() == 0) {
-    // Root assignment: track the assertion level it depends on so pops can
-    // retract exactly the assignments that lose their justification.
-    unsigned AL = 0;
-    if (Reason >= 0) {
-      const Clause &C = Clauses[Reason];
-      AL = C.AssertLevel;
-      for (Lit Q : C.Lits)
-        if (Q.var() != V)
-          AL = std::max(AL, RootAssertLevel[Q.var()]);
-    } else {
-      AL = CurrentAssertLevel;
-    }
-    RootAssertLevel[V] = AL;
-  }
   Trail.push_back(L);
   if (TheoryPropEnabled && IsTheoryVar[V]) {
     TheoryTrail.push_back(L);
@@ -348,7 +316,7 @@ void SatSolver::bumpVar(Var V) {
 void SatSolver::decayActivities() { VarInc *= (1.0 / 0.95); }
 
 void SatSolver::analyze(int ConflictIdx, std::vector<Lit> &LearnedOut,
-                        int &BacktrackLevel, unsigned &AssertLevelOut) {
+                        int &BacktrackLevel) {
   LearnedOut.clear();
   LearnedOut.push_back(Lit()); // slot for the asserting (1UIP) literal
   std::vector<char> &Seen = SeenBuffer;
@@ -358,10 +326,6 @@ void SatSolver::analyze(int ConflictIdx, std::vector<Lit> &LearnedOut,
   bool HaveP = false;
   size_t TrailIdx = Trail.size();
   int Reason = ConflictIdx;
-  // The learned clause is derived by resolution from the conflicting
-  // clause, the reason clauses, and the root-false literals it drops; its
-  // assertion level is the max over all of them.
-  AssertLevelOut = 0;
 
   do {
     if (Reason == ReasonTheory)
@@ -370,17 +334,12 @@ void SatSolver::analyze(int ConflictIdx, std::vector<Lit> &LearnedOut,
     Clause &C = Clauses[Reason];
     if (C.Learned)
       bumpClause(Reason);
-    AssertLevelOut = std::max(AssertLevelOut, C.AssertLevel);
     for (Lit Q : C.Lits) {
       if (HaveP && Q == P)
         continue;
       Var V = Q.var();
-      if (Seen[V])
+      if (Seen[V] || Level[V] == 0)
         continue;
-      if (Level[V] == 0) {
-        AssertLevelOut = std::max(AssertLevelOut, RootAssertLevel[V]);
-        continue;
-      }
       Seen[V] = 1;
       bumpVar(V);
       if (Level[V] == currentLevel())
@@ -421,7 +380,7 @@ int SatSolver::materializeReason(Var V) {
   assert(!Reason.empty() && Reason[0] == P &&
          "theory reason must lead with the propagated literal");
   int Idx = allocClause(std::move(Reason), /*Learned=*/true,
-                        /*AssertLevel=*/0, /*ReasonOnly=*/true);
+                        /*ReasonOnly=*/true);
   ReasonIdx[V] = Idx;
   return Idx;
 }
@@ -470,7 +429,7 @@ Lit SatSolver::pickBranchLit() {
       heapSiftDown(0);
     }
     // Variables with no live clause are unconstrained: leaving them
-    // unassigned keeps popped levels' atoms out of the theory entirely.
+    // unassigned keeps their atoms out of the theory entirely.
     if (Assign[V] == LBool::Undef && VarOcc[V] > 0)
       return Lit(V, !SavedPhase[V]);
   }
@@ -479,21 +438,14 @@ Lit SatSolver::pickBranchLit() {
 
 bool SatSolver::learnConflict(std::vector<Lit> Lits) {
   ++TheoryConflicts;
-  // A theory conflict clause is theory-valid over its atoms: it depends on
-  // no input clause at all, so its base assertion level is 0 and it is
-  // retained across pops (lemma reuse). Dropping literals that are false
-  // at level 0 reintroduces a dependency on their root justification.
-  unsigned AssertLv = 0;
   std::vector<Lit> Final;
   for (Lit L : Lits) {
     assert(value(L) == LBool::False && "theory conflict literal not false");
     if (Level[L.var()] > 0)
       Final.push_back(L);
-    else
-      AssertLv = std::max(AssertLv, RootAssertLevel[L.var()]);
   }
   if (Final.empty()) {
-    markUnsat(AssertLv);
+    Unsat = true;
     return false;
   }
   // Theory-aware branching: atoms the theory had to refute are the ones
@@ -513,14 +465,13 @@ bool SatSolver::learnConflict(std::vector<Lit> Lits) {
   if (Final.size() == 1) {
     backtrack(0);
     enqueue(Final[0], -1);
-    RootAssertLevel[Final[0].var()] = AssertLv;
     if (propagate() != -1) {
-      markUnsat(CurrentAssertLevel);
+      Unsat = true;
       return false;
     }
     return true;
   }
-  int ClauseIdx = allocClause(Final, true, AssertLv);
+  int ClauseIdx = allocClause(Final, true);
   attachClause(ClauseIdx);
   if (TopUnique) {
     // Asserting clause: jump to the second-highest level and propagate.
@@ -531,71 +482,6 @@ bool SatSolver::learnConflict(std::vector<Lit> Lits) {
     backtrack(TopLevel - 1);
   }
   return true;
-}
-
-unsigned SatSolver::pushAssertLevel() {
-  assert(currentLevel() == 0 && "push during search");
-  return ++CurrentAssertLevel;
-}
-
-void SatSolver::popAssertLevel() {
-  assert(CurrentAssertLevel > 0 && "pop without matching push");
-  backtrack(0);
-  unsigned NewLevel = --CurrentAssertLevel;
-
-  // Retract clauses above the new level.
-  for (size_t Idx = 0; Idx < Clauses.size(); ++Idx) {
-    Clause &C = Clauses[Idx];
-    if (!C.Dead && C.AssertLevel > NewLevel)
-      removeClause(static_cast<int>(Idx));
-  }
-
-  // Retract root assignments whose justification depended on a popped
-  // level. Surviving entries keep their order; propagation is replayed
-  // from scratch on the next solve (idempotent and cheap relative to a
-  // query).
-  std::vector<Lit> NewTrail;
-  NewTrail.reserve(Trail.size());
-  for (Lit L : Trail) {
-    Var V = L.var();
-    // Free the materialized theory reason either way: survivors never
-    // consult their reason again at level 0, and retracted entries lose
-    // their assignment.
-    int RIdx = ReasonIdx[V];
-    if (RIdx >= 0 && !Clauses[RIdx].Dead && Clauses[RIdx].ReasonOnly)
-      removeClause(RIdx);
-    if (RootAssertLevel[V] <= NewLevel) {
-      // Reason clauses of surviving entries may have been freed and their
-      // slots reused; the reason is never consulted again at level 0, but
-      // scrub it so no stale index can ever be dereferenced.
-      ReasonIdx[V] = -1;
-      NewTrail.push_back(L);
-      continue;
-    }
-    SavedPhase[V] = Assign[V] == LBool::True;
-    Assign[V] = LBool::Undef;
-    ReasonIdx[V] = -1;
-    heapInsert(V);
-  }
-  Trail = std::move(NewTrail);
-  PropagateHead = 0;
-
-  // Rebuild the theory trail from the surviving root assignments.
-  TheoryTrail.clear();
-  TheoryTrailSrc.clear();
-  if (TheoryPropEnabled) {
-    for (size_t I = 0; I < Trail.size(); ++I)
-      if (IsTheoryVar[Trail[I].var()]) {
-        TheoryTrail.push_back(Trail[I]);
-        TheoryTrailSrc.push_back(static_cast<int>(I));
-      }
-  }
-  ++TheoryTrailResetsCount;
-  TheoryPropSeen = 0;
-
-  if (UnsatAssertLevel >= 0 &&
-      static_cast<unsigned>(UnsatAssertLevel) > NewLevel)
-    UnsatAssertLevel = -1;
 }
 
 uint64_t SatSolver::luby(uint64_t I) {
@@ -615,7 +501,7 @@ uint64_t SatSolver::luby(uint64_t I) {
 }
 
 SatSolver::Result SatSolver::solve(TheoryCallback *Theory) {
-  if (unsatAtCurrentLevel())
+  if (Unsat)
     return Result::Unsat;
   ActiveTheory = Theory;
   backtrack(0);
@@ -630,20 +516,17 @@ SatSolver::Result SatSolver::solve(TheoryCallback *Theory) {
       ++Conflicts;
       ++ConflictsThisRestart;
       if (currentLevel() == 0) {
-        markUnsat(CurrentAssertLevel);
+        Unsat = true;
         return Result::Unsat;
       }
       std::vector<Lit> Learned;
       int BtLevel = 0;
-      unsigned AssertLv = 0;
-      analyze(ConflictIdx, Learned, BtLevel, AssertLv);
+      analyze(ConflictIdx, Learned, BtLevel);
       backtrack(BtLevel);
       if (Learned.size() == 1) {
         enqueue(Learned[0], -1);
-        if (currentLevel() == 0)
-          RootAssertLevel[Learned[0].var()] = AssertLv;
       } else {
-        int Idx = allocClause(std::move(Learned), true, AssertLv);
+        int Idx = allocClause(std::move(Learned), true);
         attachClause(Idx);
         enqueue(Clauses[Idx].Lits[0], Idx);
       }
@@ -690,18 +573,7 @@ SatSolver::Result SatSolver::solve(TheoryCallback *Theory) {
           break;
         }
         ++TheoryPropagations;
-        if (currentLevel() == 0) {
-          // Root propagation: materialize the reason eagerly so enqueue
-          // derives the assignment's RootAssertLevel from the cited atoms
-          // (a lazy reason could outlive a pop otherwise).
-          std::vector<Lit> Reason;
-          Theory->explainPropagation(L, Reason);
-          int Idx = allocClause(std::move(Reason), /*Learned=*/true,
-                                /*AssertLevel=*/0, /*ReasonOnly=*/true);
-          enqueue(L, Idx);
-        } else {
-          enqueue(L, ReasonTheory);
-        }
+        enqueue(L, ReasonTheory);
         Changed = true;
       }
       if (PropConflict || Changed)

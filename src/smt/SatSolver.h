@@ -15,14 +15,9 @@
 /// theory stack) that is learned and search resumes. This is terminating:
 /// each theory clause removes at least one total assignment.
 ///
-/// The clause database is organized in assertion levels for incremental
-/// solving (pushAssertLevel / popAssertLevel): every clause carries the
-/// assertion level it depends on, and popping a level retracts exactly the
-/// clauses above it. Learned clauses record the maximum assertion level of
-/// their antecedents, so a lemma derived purely from theory reasoning and
-/// level-0 input (assertion level 0) survives every pop — this is what lets
-/// an incremental SolverContext reuse theory lemmas across queries that
-/// share an assertion-stack prefix.
+/// The clause database only grows, apart from learned-clause deletion:
+/// clauses are added at the root, and a refutation, once derived, is
+/// final.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,17 +82,15 @@ public:
   /// Produces the reason clause for a literal previously returned by
   /// propagatePartial: ReasonOut[0] == P, every other literal is the
   /// negation of a trail literal that was assigned before P. The clause
-  /// must be theory-valid (assertion level 0).
+  /// must be theory-valid.
   virtual void explainPropagation(Lit P, std::vector<Lit> &ReasonOut) {
     (void)P;
     (void)ReasonOut;
   }
 };
 
-/// CDCL solver with an assertion-level clause database. One-shot callers
-/// ignore the level API entirely (everything lives at level 0 and behaves
-/// monotonically); incremental callers bracket clause additions with
-/// pushAssertLevel / popAssertLevel and may interleave solve() calls.
+/// CDCL solver. Clauses may be added between solve() calls (after
+/// resetToRoot()); input clauses are never retracted.
 class SatSolver {
 public:
   enum class Result { Sat, Unsat };
@@ -106,10 +99,9 @@ public:
   Var newVar();
   int numVars() const { return static_cast<int>(Assign.size()); }
 
-  /// Adds a clause at the current assertion level; returns false if the
-  /// solver is unsatisfiable at the current level. Must be called at
-  /// decision level zero (fresh solver, between solve() calls, or after
-  /// resetToRoot()).
+  /// Adds a clause; returns false if the solver is unsatisfiable. Must be
+  /// called at decision level zero (fresh solver, between solve() calls,
+  /// or after resetToRoot()).
   bool addClause(std::vector<Lit> Lits);
 
   /// Runs CDCL search. \p Theory may be null for pure SAT. After a Sat
@@ -117,24 +109,9 @@ public:
   /// resetToRoot() before mutating the clause database again.
   Result solve(TheoryCallback *Theory = nullptr);
 
-  // ------------------------------------------------- Assertion levels --
-  /// Opens a new assertion level; clauses added from now on are retracted
-  /// by the matching popAssertLevel().
-  unsigned pushAssertLevel();
-  /// Retracts every clause (input and learned) whose derivation depends on
-  /// the top assertion level, unassigns root literals implied by them, and
-  /// clears an "unsat at level" verdict that rested on the popped level.
-  void popAssertLevel();
-  unsigned assertLevel() const { return CurrentAssertLevel; }
   /// Undoes any in-progress search state (decision levels) so the clause
   /// database can be mutated. Idempotent.
   void resetToRoot() { backtrack(0); }
-  /// True when the instance is unsatisfiable at the current assertion
-  /// level (a refutation was derived from clauses at or below it).
-  bool unsatAtCurrentLevel() const {
-    return UnsatAssertLevel >= 0 &&
-           UnsatAssertLevel <= static_cast<int>(CurrentAssertLevel);
-  }
 
   /// Model access after Sat.
   bool modelValue(Var V) const {
@@ -162,14 +139,15 @@ public:
   /// Declares \p V a theory atom: its assignments are mirrored onto the
   /// theory trail (the subsequence of the trail the theory cares about).
   void markTheoryVar(Var V) { IsTheoryVar[V] = 1; }
-  /// True while the variable occurs in a live clause. The theory engine
-  /// uses this to avoid propagating atoms whose clauses all died with
-  /// popped assertion levels (stale-atom suppression).
+  /// True while the variable occurs in a live clause. A variable whose
+  /// clauses were all satisfied at the root or swept by reduceDB() is
+  /// unconstrained: the search never branches on it and the theory engine
+  /// does not propagate it.
   bool varActive(Var V) const { return VarOcc[V] > 0; }
   /// Theory-atom subsequence of the trail, in assignment order. Valid
   /// only with theory propagation enabled.
   const std::vector<Lit> &theoryTrail() const { return TheoryTrail; }
-  /// Bumped whenever the theory trail shrinks (backtrack or pop): the
+  /// Bumped whenever the theory trail shrinks (backtrack): the
   /// engine's cue that a previously synced prefix may be gone. While it
   /// is unchanged the theory trail has only grown.
   uint64_t theoryTrailResets() const { return TheoryTrailResetsCount; }
@@ -214,9 +192,6 @@ private:
     /// the watch lists, excluded from VarOcc and the learned-clause
     /// economy, and freed as soon as its literal is unassigned.
     bool ReasonOnly = false;
-    /// Maximum assertion level of the clauses this one was derived from
-    /// (== the level it was added at, for input clauses).
-    unsigned AssertLevel = 0;
     /// EVSIDS-style clause activity: bumped when the clause participates
     /// in a conflict derivation, decayed (via ClaInc scaling) with every
     /// conflict. reduceDB() deletes the cold half by this score.
@@ -239,7 +214,7 @@ private:
   /// index (also written back to ReasonIdx[V]).
   int materializeReason(Var V);
   void analyze(int ConflictIdx, std::vector<Lit> &LearnedOut,
-               int &BacktrackLevel, unsigned &AssertLevelOut);
+               int &BacktrackLevel);
   void backtrack(int Level);
   Lit pickBranchLit();
   void bumpVar(Var V);
@@ -250,15 +225,12 @@ private:
   void heapInsert(Var V);
   void attachClause(int Idx);
   void detachClause(int Idx);
-  int allocClause(std::vector<Lit> Lits, bool Learned, unsigned AssertLevel,
+  int allocClause(std::vector<Lit> Lits, bool Learned,
                   bool ReasonOnly = false);
   int currentLevel() const { return static_cast<int>(TrailLim.size()); }
   /// Learns a clause whose literals are all currently false (theory
-  /// conflict), backjumping appropriately. Returns false on a refutation
-  /// at the current assertion level.
+  /// conflict), backjumping appropriately. Returns false on a refutation.
   bool learnConflict(std::vector<Lit> Lits);
-  /// Records a refutation valid at assertion level \p Level.
-  void markUnsat(unsigned Level);
   static uint64_t luby(uint64_t I);
 
   void bumpOcc(const std::vector<Lit> &Lits, int Delta);
@@ -267,24 +239,21 @@ private:
   void decayClauseActivities();
   /// A clause is locked while it is the reason of an assigned literal.
   bool clauseLocked(int Idx) const;
-  /// Detaches, kills and recycles one clause (shared by popAssertLevel
-  /// and reduceDB).
+  /// Detaches, kills and recycles one clause (shared by reduceDB and the
+  /// release of materialized theory reasons on backtrack).
   void removeClause(int Idx);
 
   std::vector<Clause> Clauses;
   std::vector<int> FreeClauseSlots;
   /// Live-clause occurrence count per variable. A variable with no live
   /// occurrence is unconstrained — the search never branches on it, so
-  /// atoms whose clauses all died with popped levels stay unassigned and
-  /// cost the theory engines nothing (stale-atom suppression).
+  /// atoms whose clauses were all satisfied at the root or swept stay
+  /// unassigned and cost the theory engines nothing.
   std::vector<unsigned> VarOcc;
   std::vector<std::vector<Watcher>> Watches; // indexed by Lit.Code
   std::vector<LBool> Assign;
   std::vector<int> Level;
   std::vector<int> ReasonIdx; // clause index or -1
-  /// Assertion level a root (decision-level-0) assignment depends on;
-  /// meaningful only while Level[V] == 0 and V is assigned.
-  std::vector<unsigned> RootAssertLevel;
   std::vector<Lit> Trail;
   std::vector<int> TrailLim;
   size_t PropagateHead = 0;
@@ -306,9 +275,8 @@ private:
   /// the search.
   unsigned MaxLearned = 2048;
 
-  unsigned CurrentAssertLevel = 0;
-  /// Lowest assertion level at which a refutation was derived, or -1.
-  int UnsatAssertLevel = -1;
+  /// A refutation was derived; every later solve() answers Unsat.
+  bool Unsat = false;
   unsigned NumLiveClauses = 0;
   uint64_t Conflicts = 0;
   uint64_t Decisions = 0;

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// The smt.* registry cells, resolved once per process and shared by
-/// both checkSat paths (one-shot Solver and incremental SolverContext).
-/// Callers record per-check *deltas* — SatSolver and SolverStats
-/// counters are cumulative per context, so each check subtracts its
-/// starting window before bumping the global cells.
+/// both checkSat paths (one-shot Solver and SolverContext). Each check
+/// adds its own counts: a SolverContext is checked once, so its SatSolver
+/// and SolverStats totals are the check's counts.
 ///
 //===----------------------------------------------------------------------===//
 

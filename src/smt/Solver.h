@@ -21,10 +21,10 @@
 /// evaluating the original formula under the constructed model before
 /// being reported.
 ///
-/// For incremental solving (the per-query context the VC pipeline uses by
-/// default, and push/pop/assert) see SolverContext.h; this class remains
-/// the one-shot reference solver that `--no-incremental`, the quantified
-/// encoding and the model give-up escalation use.
+/// For the per-query context the VC pipeline uses by default (persistent
+/// theory engines with DPLL(T) propagation) see SolverContext.h; this
+/// class remains the one-shot reference solver that `--no-incremental`,
+/// the quantified encoding and the model give-up escalation use.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Result/options/statistics types shared by the one-shot Solver and the
-/// incremental SolverContext (and the TheoryEngine underneath both).
+/// SolverContext (and the TheoryEngine underneath both).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,18 +42,17 @@ struct SolverOptions {
   /// One-shot Solver only: use the blind (quadratic) array instantiation
   /// instead of the relevancy-driven one. The VC pipeline escalates to
   /// this when the relevancy-driven attempt gives up on model
-  /// construction. Incremental contexts always assert the demand closure.
+  /// construction. A SolverContext always asserts the demand closure.
   bool EagerArrayInstantiation = false;
   /// Activity-based deletion of cold learned clauses (reduceDB) in the
   /// SAT core. On by default; --no-reduce-db is the differential
   /// baseline.
   bool ClauseDeletion = true;
-  /// DPLL(T) theory propagation in incremental contexts: assert atoms
+  /// DPLL(T) theory propagation in a SolverContext: assert atoms
   /// entailed by the partial trail (CC equality watches, arithmetic bound
-  /// watches) instead of waiting for a full propositional model, with
-  /// incremental registration pinned per assertion frame. On by default;
-  /// --no-theory-prop is the differential baseline and restores the
-  /// purely lazy full-model behavior bit for bit.
+  /// watches) instead of waiting for a full propositional model. On by
+  /// default; --no-theory-prop is the differential baseline and restores
+  /// the purely lazy full-model behavior bit for bit.
   bool TheoryPropagation = true;
   /// Initial learned-set size that triggers a reduceDB sweep; 0 keeps
   /// the SAT core's default. Tests force frequent sweeps on small
@@ -75,12 +74,13 @@ struct SolverStats {
   uint64_t ModelGiveUps = 0;
   uint64_t Instantiations = 0;
   unsigned NumAtoms = 0;
-  /// Incremental-context counter: atom assertions skipped because the
+  /// SolverContext counter: atom assertions skipped because the
   /// persistent theory engines were already synced to a shared SAT-trail
   /// prefix.
   uint64_t TheoryAssertsReused = 0;
-  /// Incremental-context counter: term registrations skipped because the
-  /// term graph was already pinned at a lower assertion frame.
+  /// SolverContext counter: term registrations skipped because the term
+  /// was already in the congruence-closure graph (a subterm shared by
+  /// several atoms or lemmas).
   uint64_t CcRegistrationsReused = 0;
   ArrayReductionStats ArrayStats;
 };

@@ -106,8 +106,6 @@ sat::Lit SolverCore::litFor(TermRef T) {
     LitCache.emplace(T, Result.Code);
     return Result;
   }
-  if (EncodingLog)
-    EncodingLog->push_back(T);
   LitCache.emplace(T, Result.Code);
   return Result;
 }
@@ -175,7 +173,7 @@ int TheoryEngine::arithVarFor(TermRef T) {
   int V;
   auto VIt = VarOfTerm.find(T);
   if (VIt != VarOfTerm.end()) {
-    V = VIt->second; // re-asserted after a pop: reuse the variable
+    V = VIt->second; // re-asserted after a trail-sync pop
   } else {
     V = Arith->addVar(T->getSort()->isInt());
     VarOfTerm.emplace(T, V);
@@ -312,11 +310,13 @@ bool TheoryEngine::assertOneAtom(int AtomIdx,
 bool TheoryEngine::equalityFixpoint(std::vector<sat::Lit> &ConflictOut) {
   for (;;) {
     bool Changed = false;
-    // CC -> arithmetic: equalities between opaque numeric terms.
-    std::map<TermRef, std::vector<TermRef>> Classes;
+    // CC -> arithmetic: equalities between opaque numeric terms. Classes
+    // are keyed by the representative's term id, not its address, so the
+    // assertion order (and with it the search) is the same in every run.
+    std::map<unsigned, std::vector<TermRef>> Classes;
     for (TermRef T : OpaqueNumeric)
-      Classes[CC->representative(T)].push_back(T);
-    for (auto &[Root, Members] : Classes) {
+      Classes[CC->representative(T)->getId()].push_back(T);
+    for (auto &[RootId, Members] : Classes) {
       for (size_t I = 1; I < Members.size(); ++I) {
         TermRef X = Members[0], Y = Members[I];
         auto Key = std::minmax(X, Y);
@@ -621,8 +621,8 @@ void TheoryEngine::buildModel() {
     for (TermRef Sub : A->getArgs())
       Assign(Sub);
   }
-  // Pure-SAT boolean variables (stale unassigned atoms keep whatever the
-  // term-value pass gave them).
+  // Pure-SAT boolean variables (unconstrained, unassigned atoms keep
+  // whatever the term-value pass gave them).
   for (size_t I = 0; I < C.Atoms.size(); ++I)
     if (C.Atoms[I]->getKind() == TermKind::Var &&
         atomAssigned(static_cast<int>(I)))
@@ -734,7 +734,7 @@ void TheoryEngine::resetSyncedLevels() {
 bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
   ++C.St.TheoryChecks;
   if (C.Opts.MaxTheoryChecks != 0 &&
-      C.St.TheoryChecks - C.TheoryCheckBase > C.Opts.MaxTheoryChecks) {
+      C.St.TheoryChecks > C.Opts.MaxTheoryChecks) {
     // Budget exhausted: accept the propositional model to stop the
     // search; checkSat() reports Unknown.
     C.BudgetExhausted = true;
@@ -891,41 +891,12 @@ bool TheoryEngine::separateCollisions() {
 // Theory propagation + incremental registration (PropMode)
 //===----------------------------------------------------------------------===//
 
-bool TheoryEngine::ccWatchValid(int AtomIdx) const {
-  auto It = CcWatchEpoch.find(AtomIdx);
-  if (It == CcWatchEpoch.end())
-    return false;
-  if (It->second == 0)
-    return true; // registered with no frame open: pinned permanently
-  return std::find(FrameEpochs.begin(), FrameEpochs.end(), It->second) !=
-         FrameEpochs.end();
-}
-
-void TheoryEngine::pushAssertionFrame() {
-  if (!PropMode)
-    return;
-  resetSyncedLevels();
-  CC->push();
-  Arith->push();
-  LevelOpaqueSize.push_back(OpaqueNumeric.size());
-  FrameEpochs.push_back(NextEpoch++);
-}
-
-void TheoryEngine::popAssertionFrame() {
-  if (!PropMode)
-    return;
-  resetSyncedLevels();
-  popTheoryLevel();
-  FrameEpochs.pop_back();
-}
-
 void TheoryEngine::preRegister(const std::vector<TermRef> &Roots) {
   if (!PropMode)
     return;
-  // Registration must happen from the frame base: anything trailed under a
+  // Registration must happen from the base: anything trailed under a
   // synced atom level would silently die with the next sync's pops.
   resetSyncedLevels();
-  int Epoch = FrameEpochs.empty() ? 0 : FrameEpochs.back();
 
   // Mirrors assertOneAtom's polarity lowering and ArithSolver::assertAtom's
   // bound normalization exactly, so the watch tests the same (var, bound)
@@ -1013,21 +984,14 @@ void TheoryEngine::preRegister(const std::vector<TermRef> &Roots) {
         (void)polyOf(X);
         (void)polyOf(Y);
       }
-      if (!ccWatchValid(AtomIdx)) {
+      if (CcWatched.insert(AtomIdx).second)
         CC->watchEquality(AtomIdx, X, Y);
-        CcWatchEpoch[AtomIdx] = Epoch;
-      }
       break;
     }
     case TermKind::Le:
     case TermKind::Lt: {
-      if (ArithWatchOf.count(AtomIdx)) {
-        // Watch thresholds are permanent (slack definitions survive pops);
-        // just re-pin the operand leaves in the current frame.
-        (void)polyOf(T->getArg(0));
-        (void)polyOf(T->getArg(1));
+      if (ArithWatchOf.count(AtomIdx))
         break;
-      }
       ArithWatch W;
       W.Pos = makeBoundWatch(T, true);
       W.Neg = makeBoundWatch(T, false);
@@ -1046,10 +1010,8 @@ void TheoryEngine::preRegister(const std::vector<TermRef> &Roots) {
       if (!T->getSort()->isBool())
         break;
       registerOperand(T);
-      if (!ccWatchValid(AtomIdx)) {
+      if (CcWatched.insert(AtomIdx).second)
         CC->watchEquality(AtomIdx, T, TM.mkTrue());
-        CcWatchEpoch[AtomIdx] = Epoch;
-      }
       break;
     }
     }
@@ -1180,8 +1142,8 @@ bool TheoryEngine::propagatePartial(std::vector<sat::Lit> &ImpliedOut,
     return false;
   // Strict conflict-clause construction for the partial-trail state: only
   // plain input-atom tags, every one currently assigned. Anything else
-  // (composite, separation, stale) aborts the early conflict and defers to
-  // the full-model check.
+  // (composite, separation, unassigned) aborts the early conflict and
+  // defers to the full-model check.
   auto conflictFromTags = [&](const std::set<int> &Tags) -> bool {
     ConflictOut.clear();
     for (int T : Tags) {

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The theory side of the CDCL(T) loop, shared by the one-shot Solver and
-/// the incremental SolverContext:
+/// the SolverContext:
 ///
 ///  - SolverCore holds the state both drivers own: the SAT core, the
 ///    Tseitin literal cache, the theory-atom table, the evaluation safety
@@ -25,7 +25,9 @@
 /// saving and backjumping, that suffix is typically a small fraction of
 /// the assignment. Exchange equalities, probes and model-repair
 /// separations live in an extra scratch level popped at the start of the
-/// next check, so nothing assignment-specific leaks across checks.
+/// next check, so nothing assignment-specific leaks across checks. These
+/// CC and simplex levels follow the SAT trail only: a context's
+/// assertions are registered once, at the base, and never retracted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,19 +70,10 @@ struct SolverCore {
   TermRef EvalFormula = nullptr; // pre-reduction formula for the safety net
 
   bool BudgetExhausted = false;
-  double SolveDeadline = 0;      // monotonic seconds; 0 = none
-  uint64_t TheoryCheckBase = 0;  // budget window start for the current check
+  double SolveDeadline = 0; // monotonic seconds; 0 = none
 
-  /// When non-null, litFor logs every NON-atom term it encodes here. The
-  /// incremental context uses the log to invalidate cache entries whose
-  /// defining clauses die with a popped level (theory atoms stay cached —
-  /// their meaning is the theory check, not any clause). One-shot solving
-  /// leaves it null.
-  std::vector<TermRef> *EncodingLog = nullptr;
-
-  /// Tseitin encoding; defining clauses are added at the current assertion
-  /// level, so the cache entry of a structure term is only valid while the
-  /// level that created it is alive (see EncodingLog).
+  /// Tseitin encoding, cached per term: a structure term's defining
+  /// clauses are added once, a theory atom becomes a theory variable.
   sat::Lit litFor(TermRef T);
 };
 
@@ -104,26 +97,19 @@ public:
   void explainPropagation(sat::Lit P,
                           std::vector<sat::Lit> &ReasonOut) override;
 
-  // ------------------------------------------- Incremental registration --
-  /// Brackets one SolverContext assertion level. Registrations (term
-  /// graph, equality watches, arith vars) made while a frame is open are
-  /// retracted when it pops; registrations made with no frame open are
-  /// pinned permanently, so checks above a push only register their own
-  /// delta.
-  void pushAssertionFrame();
-  void popAssertionFrame();
   /// Pre-registers the theory atoms reachable in \p Roots, in order
   /// (called after the formulas were Tseitin-encoded, so every atom is
   /// interned): CC term graph and equality watches for Eq/boolean atoms,
-  /// slack variables and bound watches for inequality atoms. Idempotent
-  /// per atom and frame; one call visits each shared subterm once.
+  /// slack variables and bound watches for inequality atoms. Registrations
+  /// land at the base of the theory trails and are permanent. Idempotent
+  /// per atom; one call visits each shared subterm once.
   void preRegister(const std::vector<TermRef> &Roots);
 
 private:
   bool atomValue(int AtomIdx) const {
     return C.Sat.modelValue(C.AtomVar[AtomIdx]);
   }
-  /// Stale atoms (all their clauses died with popped levels) stay
+  /// Unconstrained atoms (no live clause, see SatSolver::varActive) stay
   /// unassigned by design; model construction must not read them.
   bool atomAssigned(int AtomIdx) const {
     return C.Sat.value(sat::Lit(C.AtomVar[AtomIdx], false)) !=
@@ -162,13 +148,10 @@ private:
   /// historical meaning).
   bool syncAssert(std::vector<sat::Lit> &ConflictOut, bool CountReuse);
   /// Pops the scratch level and every synced atom level, returning the
-  /// engines to the current assertion-frame base. Registration (frames,
-  /// preRegister) must happen from this state so nothing gets trailed
-  /// under an atom level that a later sync pops.
+  /// engines to their base. Registration (preRegister) must happen from
+  /// this state so nothing gets trailed under an atom level that a later
+  /// sync pops.
   void resetSyncedLevels();
-  /// True while the equality watch registered for \p AtomIdx is alive
-  /// (registered at base, or under a still-open frame).
-  bool ccWatchValid(int AtomIdx) const;
   /// Revalidates and proposes one CC-entailed equality atom: rechecks the
   /// entailment against the live closure, builds the reason clause from
   /// the explanation tags, and appends the implied literal.
@@ -180,7 +163,7 @@ private:
   void proposeArithEntailment(int AtomIdx,
                               std::vector<sat::Lit> &ImpliedOut);
   /// Common filter + reason construction for both proposal paths; returns
-  /// false when the atom is assigned/stale or a cited tag fails
+  /// false when the atom is assigned/unconstrained or a cited tag fails
   /// validation (out of atom range, unassigned, or self-referential).
   bool proposeEntailment(int AtomIdx, bool Polarity,
                          const std::set<int> &Tags,
@@ -193,8 +176,9 @@ private:
   std::unique_ptr<ArithSolver> Arith;
   std::unordered_map<TermRef, int> ArithVars;
   std::vector<TermRef> OpaqueNumeric;
-  /// Arith variable ids survive pops (bounds are retracted, the tableau
-  /// persists); this map lets a re-asserted term reuse its variable.
+  /// Arith variable ids survive trail-sync pops (bounds are retracted, the
+  /// tableau persists); this map lets a re-asserted term reuse its
+  /// variable.
   std::unordered_map<TermRef, int> VarOfTerm;
   std::unordered_set<TermRef> InterfaceTerms;
   /// Constant index terms (value keyed by sort): an opaque index whose
@@ -223,13 +207,7 @@ private:
   /// elementwise prefix compare is skipped.
   uint64_t TrailResetsSeen = 0;
   bool PropSyncValid = false;
-  /// Open assertion frames as monotone epoch ids. An equality watch
-  /// registered under epoch E is alive while E is still open (or E == 0,
-  /// the permanent base); watches die silently with their frame's CC
-  /// trail, so liveness is tracked engine-side to re-register on demand.
-  std::vector<int> FrameEpochs;
-  int NextEpoch = 1;
-  std::unordered_map<int, int> CcWatchEpoch; // atom idx -> epoch
+  std::unordered_set<int> CcWatched; // atom ids with an equality watch
   /// One precomputed bound-entailment test per inequality-atom polarity:
   /// the atom under that polarity asserts (IsUpper ? W <= B : W >= B), so
   /// it is entailed as soon as the live bound on W is at least as strong.

@@ -1,16 +1,14 @@
-//===- support/JobManager.h - Work-stealing job system ---------*- C++ -*-===//
+//===- support/JobManager.h - FIFO thread pool ------------------*- C++ -*-===//
 //
 // Part of the IDSVerify project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A work-stealing thread pool — the dispatch engine under `--jobs N`.
-/// Each worker owns a deque: new work spawned from inside a task lands at
-/// the bottom of the spawning worker's own deque (LIFO, cache-warm), idle
-/// workers steal from the top of a victim's deque (FIFO, the oldest —
-/// and usually largest — task). This replaces the former flat Scheduler
-/// pool, whose single shared task index serialized dispatch.
+/// A FIFO thread pool — the dispatch engine under `--jobs N`. Every task
+/// goes into one shared queue and idle workers take the oldest one. The
+/// pipeline submits each query as an independent task from outside the
+/// pool, so nothing is gained by per-worker queues or stealing.
 ///
 /// Concurrency contract:
 ///  - submit() may be called from any thread, including from inside a
@@ -24,8 +22,7 @@
 ///    the serial path deterministic.
 ///
 /// Activity feeds the metrics registry: `jobs.tasks` counts every task
-/// executed, `jobs.steals` counts tasks a worker took from another
-/// worker's deque.
+/// submitted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,8 +57,8 @@ public:
   JobManager(const JobManager &) = delete;
   JobManager &operator=(const JobManager &) = delete;
 
-  /// Enqueues \p Fn. Callable from inside a running task; such children
-  /// are pushed to the spawning worker's own deque.
+  /// Enqueues \p Fn at the back of the queue. Callable from inside a
+  /// running task.
   void submit(std::function<void()> Fn);
 
   /// Blocks until every task — including ones spawned while waiting —
@@ -75,7 +72,7 @@ public:
 private:
   using Task = std::function<void()>;
 
-  void workerLoop(unsigned Me);
+  void workerLoop();
   void runTask(Task Fn);
   void startWorkersLocked();
 
@@ -84,9 +81,7 @@ private:
   std::mutex Mutex; ///< guards everything below
   std::condition_variable WorkCv; ///< workers: new work / stop
   std::condition_variable IdleCv; ///< waiters: Outstanding hit zero
-  /// Per-worker ready deques (index 0..NumJobs-1) plus an inbox for
-  /// external submissions at index NumJobs.
-  std::vector<std::deque<Task>> Ready;
+  std::deque<Task> Ready; ///< submitted, not yet started (FIFO)
   std::vector<std::thread> Workers;
   size_t Outstanding = 0; ///< submitted, not yet completed
   bool Stopping = false;

@@ -2,11 +2,11 @@
 #   cmake -DIDS_VERIFY=<exe> -DWORKDIR=<dir> -P RunServe.cmake
 #
 # Spawns `ids-verify serve`, pipes it a session of requests — valid,
-# malformed, valid, stats, a module nested 200,000 levels deep, valid —
-# and checks that:
+# malformed, valid, stats, a module nested 200,000 levels deep, valid, a
+# module with a 200,000-operand `&&` chain, valid — and checks that:
 #   * the daemon answers every line and exits 0 (the malformed and the
-#     deeply nested requests are answered with errors, they do not kill
-#     the process, and the request after them is still answered);
+#     deep requests are answered with errors, they do not kill the
+#     process, and the request after each is still answered);
 #   * both valid answers report ok:true with all procedures verified;
 #   * every ("name","status") pair in a serve answer matches the verdict
 #     the one-shot CLI prints for the same benchmark (the acceptance
@@ -26,6 +26,8 @@ local l (x) { (x.next != nil ==> x.next.prev == x) } \
 correlation (y) { y.prev == nil } impact next [l] { x, old(x.next) } \
 impact prev [l] { x, old(x.prev) } } \
 procedure p() returns (r: bool) { r := ${Bangs}true; }")
+string(REPEAT "true && " 199999 AndChain)
+string(REPLACE "${Bangs}" "${AndChain}" ChainModule "${DeepModule}")
 file(WRITE "${Requests}"
 "{\"id\":1,\"benchmark\":\"singly-linked-list\"}
 this line is not JSON
@@ -33,6 +35,8 @@ this line is not JSON
 {\"id\":4,\"cmd\":\"stats\"}
 {\"id\":5,\"source\":\"${DeepModule}\"}
 {\"id\":6,\"benchmark\":\"singly-linked-list\"}
+{\"id\":7,\"source\":\"${ChainModule}\"}
+{\"id\":8,\"benchmark\":\"singly-linked-list\"}
 ")
 
 execute_process(
@@ -50,8 +54,8 @@ endif()
 string(REGEX REPLACE "\n$" "" Trimmed "${Out}")
 string(REPLACE "\n" ";" Lines "${Trimmed}")
 list(LENGTH Lines NumLines)
-if(NOT NumLines EQUAL 6)
-  message(FATAL_ERROR "expected 6 response lines, got ${NumLines}\n${Out}")
+if(NOT NumLines EQUAL 8)
+  message(FATAL_ERROR "expected 8 response lines, got ${NumLines}\n${Out}")
 endif()
 
 list(GET Lines 0 Resp1)
@@ -60,9 +64,11 @@ list(GET Lines 2 Resp3)
 list(GET Lines 3 Resp4)
 list(GET Lines 4 Resp5)
 list(GET Lines 5 Resp6)
+list(GET Lines 6 Resp7)
+list(GET Lines 7 Resp8)
 
 # Every response — success or error — reports its wall clock.
-foreach(Var Resp1 Resp2 Resp3 Resp4 Resp5 Resp6)
+foreach(Var Resp1 Resp2 Resp3 Resp4 Resp5 Resp6 Resp7 Resp8)
   string(FIND "${${Var}}" "\"elapsed_ms\":" P)
   if(P EQUAL -1)
     message(FATAL_ERROR "response lacks elapsed_ms: ${${Var}}")
@@ -90,7 +96,8 @@ foreach(Var Resp1 Resp3)
   endif()
 endforeach()
 
-foreach(Pair "Resp1|\"id\":1" "Resp3|\"id\":3" "Resp6|\"id\":6")
+foreach(Pair "Resp1|\"id\":1" "Resp3|\"id\":3" "Resp6|\"id\":6"
+             "Resp8|\"id\":8")
   string(REPLACE "|" ";" Parts "${Pair}")
   list(GET Parts 0 Var)
   list(GET Parts 1 Tag)
@@ -117,14 +124,20 @@ if(P EQUAL -1)
   message(FATAL_ERROR "malformed request must report a parse error: ${Resp2}")
 endif()
 
-# The deeply nested module is rejected by the parser's depth cap with
-# an ordinary front-end error, not a crash of the daemon.
-foreach(Tag "\"id\":5" "\"ok\":false" "nesting exceeds the maximum depth")
-  string(FIND "${Resp5}" "${Tag}" P)
-  if(P EQUAL -1)
-    message(FATAL_ERROR "deep-nesting request not answered with ${Tag}: "
-            "${Resp5}")
-  endif()
+# The deeply nested module and the long operator chain are rejected by
+# the parser's depth cap with an ordinary front-end error, not a crash of
+# the daemon.
+foreach(Pair "Resp5|\"id\":5" "Resp7|\"id\":7")
+  string(REPLACE "|" ";" Parts "${Pair}")
+  list(GET Parts 0 Var)
+  list(GET Parts 1 IdTag)
+  foreach(Tag "${IdTag}" "\"ok\":false" "nesting exceeds the maximum depth")
+    string(FIND "${${Var}}" "${Tag}" P)
+    if(P EQUAL -1)
+      message(FATAL_ERROR "deep request not answered with ${Tag}: "
+              "${${Var}}")
+    endif()
+  endforeach()
 endforeach()
 
 # Each serve verdict must match the one-shot CLI's verdict for the same

@@ -6,12 +6,12 @@
 ///
 /// \file
 /// Parallel dispatch must be invisible in the verdicts: the full embedded
-/// suite (procedures and impact checks) run at --jobs 8 — worker deques,
-/// stealing, snapshot term managers, batch dependency chains and all —
-/// must produce exactly the verdicts of the serial --jobs 1 run, which in
-/// turn must match each benchmark's registry expectations. Eight workers
-/// on any host forces heavy oversubscription and stealing even on small
-/// core counts, which is the point of the stress.
+/// suite (procedures and impact checks) run at --jobs 8 — the shared task
+/// queue, snapshot term managers and all — must produce exactly the
+/// verdicts of the serial --jobs 1 run, which in turn must match each
+/// benchmark's registry expectations. Eight workers on any host forces
+/// heavy oversubscription even on small core counts, which is the point
+/// of the stress.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -17,6 +17,7 @@
 #include "smt/Solver.h"
 #include "smt/SolverContext.h"
 #include "smt/TermPrinter.h"
+#include "support/Trace.h"
 
 #include "FormulaGen.h"
 
@@ -162,6 +163,7 @@ TEST(SmtFuzzTest, TheoryPropDifferential) {
   // formula.
   std::mt19937 Rng(0x7E09);
   unsigned Decided = 0, PropChecks = 0;
+  trace::Counter &TheoryProps = trace::counter("smt.theory_propagations");
   for (unsigned I = 0; I < 200; ++I) {
     TermManager TM;
     FormulaGen Gen(TM, Rng);
@@ -174,8 +176,9 @@ TEST(SmtFuzzTest, TheoryPropDifferential) {
 
     SolverContext Prop(TM, PropOpts);
     Prop.assertTerm(F);
+    const uint64_t PropsBefore = TheoryProps.value();
     SolverResult RP = Prop.checkSat();
-    PropChecks += Prop.lastCheckStats().TheoryPropagations != 0;
+    PropChecks += TheoryProps.value() != PropsBefore;
 
     SolverContext NoProp(TM, NoPropOpts);
     NoProp.assertTerm(F);

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Randomized differential testing of the incremental solving core:
-/// generate random push / assertTerm / pop / checkSat sequences over the
-/// shared formula corpus, and cross-check EVERY intermediate verdict
-/// against a fresh one-shot solve of the conjunction of the currently
-/// active assertion stack. A Sat-vs-Unsat disagreement is a soundness bug
-/// in the assertion-level machinery (SAT clause retraction, theory trails,
-/// lemma retention, or the level-aware array reducer); Sat models are
-/// additionally validated against the active conjunction.
+/// Randomized differential testing of the SolverContext: random push /
+/// assert / pop / check scripts over the shared formula corpus maintain an
+/// active assertion stack, and every check asserts each active formula on
+/// a fresh context, checks it once, and cross-checks the verdict against
+/// a one-shot solve of the active conjunction. A Sat-vs-Unsat disagreement
+/// is a soundness bug in the context (persistent theory trails, theory
+/// propagation, learned-clause deletion, or the incremental array
+/// reducer across several assertions); Sat models are additionally
+/// validated against the active conjunction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +40,8 @@ struct SeqCounts {
 };
 
 /// Runs \p Sequences random assertion-stack scripts. Each script
-/// interleaves push/assert/pop with checkSat calls; every verdict is
-/// cross-checked one-shot.
+/// interleaves push/assert/pop with checks; every check solves the active
+/// formulas on a fresh context and is cross-checked one-shot.
 SeqCounts runIncrementalDifferential(
     uint32_t Seed, unsigned Sequences, unsigned OpsPerSequence,
     unsigned Depth, const SolverOptions &CtxOpts = SolverOptions(),
@@ -52,17 +53,19 @@ SeqCounts runIncrementalDifferential(
     FormulaGen Gen(TM, Rng);
     SolverOptions Opts = CtxOpts;
     Opts.MaxTheoryChecks = 20000; // bound pathological instances
-    SolverContext Ctx(TM, Opts);
-    // Active stack mirror: one vector of formulas per level.
+    // Active assertion stack: one vector of formulas per level.
     std::vector<std::vector<TermRef>> Stack(1);
 
     auto CrossCheck = [&]() {
       ++C.Checks;
-      SolverResult Inc = Ctx.checkSat();
       std::vector<TermRef> Active;
       for (const auto &Lvl : Stack)
         for (TermRef F : Lvl)
           Active.push_back(F);
+      SolverContext Ctx(TM, Opts);
+      for (TermRef F : Active)
+        Ctx.assertTerm(F);
+      SolverResult Inc = Ctx.checkSat();
       TermRef Conj = TM.mkAnd(Active);
       TermManager Fresh;
       SolverOptions OneShotOpts = RefOpts;
@@ -106,25 +109,18 @@ SeqCounts runIncrementalDifferential(
     for (unsigned Op = 0; Op < OpsPerSequence; ++Op) {
       switch (Rng() % 6) {
       case 0:
-        Ctx.push();
         Stack.emplace_back();
         break;
       case 1:
-        if (Stack.size() > 1) {
-          Ctx.pop();
+        if (Stack.size() > 1)
           Stack.pop_back();
-        } else {
-          Ctx.push();
+        else
           Stack.emplace_back();
-        }
         break;
       case 2:
-      case 3: {
-        TermRef F = Gen.boolFormula(Depth);
-        Ctx.assertTerm(F);
-        Stack.back().push_back(F);
+      case 3:
+        Stack.back().push_back(Gen.boolFormula(Depth));
         break;
-      }
       default:
         CrossCheck();
         break;
@@ -138,13 +134,13 @@ SeqCounts runIncrementalDifferential(
 } // namespace
 
 // 300+ sequences across the three suites, each interleaving push / assert
-// / pop / check — the acceptance bar for the incremental core.
+// / pop / check — the acceptance bar for the SolverContext.
 TEST(IncrFuzzTest, DifferentialShallow) {
   SeqCounts C = runIncrementalDifferential(/*Seed=*/0x5EED1, /*Sequences=*/160,
                                            /*OpsPerSequence=*/12,
                                            /*Depth=*/3);
   EXPECT_EQ(C.Mismatches, 0u);
-  // The scripts must exercise both verdicts and real push/pop reuse.
+  // The scripts must exercise both verdicts.
   EXPECT_GT(C.Checks, 300u);
   EXPECT_GT(C.Sat, 60u);
   EXPECT_GT(C.Unsat, 30u);
@@ -166,7 +162,7 @@ TEST(IncrFuzzTest, DifferentialArrayHeavy) {
   EXPECT_GT(C.Checks, 100u);
 }
 
-// The incremental context's array demand closure and clause deletion,
+// The context's array demand closure and clause deletion,
 // each checked against the most conservative one-shot reference (blind
 // eager array instantiation, no clause deletion) — the configuration the
 // earlier goldens were recorded with.
@@ -184,11 +180,10 @@ TEST(IncrFuzzTest, DifferentialDemandClosure) {
 }
 
 TEST(IncrFuzzTest, DifferentialTheoryProp) {
-  // Theory propagation under full push/assert/pop interleavings, against
-  // the propagation-free one-shot reference. This is where the lazy
-  // reason-clause machinery earns its keep: frames pop mid-script, so
-  // preRegister pins, watch epochs and ReasonOnly clause scrubbing on
-  // popAssertLevel are all exercised at fuzz scale.
+  // Theory propagation over multi-assertion contexts, against the
+  // propagation-free one-shot reference: lazily explained reasons,
+  // preRegister across several assertTerm calls and early theory
+  // conflicts are all exercised at fuzz scale.
   SolverOptions Ctx;
   Ctx.TheoryPropagation = true;
   SolverOptions Ref;
@@ -202,8 +197,7 @@ TEST(IncrFuzzTest, DifferentialTheoryProp) {
 
 TEST(IncrFuzzTest, DifferentialDeletionStress) {
   // A tiny reduceDB trigger forces sweeps on every nontrivial search, so
-  // the pop interaction (deleted clauses vs assertion-level retraction)
-  // is actually exercised at fuzz scale.
+  // learned-clause deletion is actually exercised at fuzz scale.
   SolverOptions Ctx;
   Ctx.ReduceDbLimit = 4;
   SolverOptions Ref;

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the incremental solving core: SatSolver assertion
-/// levels (clause retraction), CongruenceClosure and ArithSolver push/pop
-/// trails, the level-aware ArrayReducer, and the SolverContext
-/// assertion-stack protocol.
+/// Unit tests for the solving core under the SolverContext:
+/// CongruenceClosure and ArithSolver push/pop trails (the theory engines
+/// sync them to the SAT trail), the incremental ArrayReducer, and
+/// SolverContext verdicts, models and counters (one context per check).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,70 +23,6 @@
 
 using namespace ids;
 using namespace ids::smt;
-
-// ------------------------------------------------------------ SatSolver --
-
-TEST(SatLevelTest, PopRetractsClauses) {
-  sat::SatSolver S;
-  sat::Var A = S.newVar(), B = S.newVar();
-  ASSERT_TRUE(S.addClause({sat::Lit(A, false), sat::Lit(B, false)}));
-  S.pushAssertLevel();
-  ASSERT_TRUE(S.addClause({sat::Lit(A, true)}));
-  // Forcing !b too contradicts (a | b) at the root: addClause reports the
-  // level-1 refutation immediately.
-  EXPECT_FALSE(S.addClause({sat::Lit(B, true)}));
-  EXPECT_EQ(S.solve(), sat::SatSolver::Result::Unsat);
-  EXPECT_TRUE(S.unsatAtCurrentLevel());
-  S.popAssertLevel();
-  EXPECT_FALSE(S.unsatAtCurrentLevel());
-  EXPECT_EQ(S.solve(), sat::SatSolver::Result::Sat);
-  // (a | b) alone is satisfiable; the unit retractions must be gone.
-  EXPECT_TRUE(S.modelValue(A) || S.modelValue(B));
-}
-
-TEST(SatLevelTest, PopRetractsRootImplications) {
-  sat::SatSolver S;
-  sat::Var A = S.newVar(), B = S.newVar();
-  // a -> b at level 0.
-  ASSERT_TRUE(S.addClause({sat::Lit(A, true), sat::Lit(B, false)}));
-  S.pushAssertLevel();
-  ASSERT_TRUE(S.addClause({sat::Lit(A, false)})); // forces a, hence b
-  EXPECT_EQ(S.solve(), sat::SatSolver::Result::Sat);
-  EXPECT_TRUE(S.modelValue(A));
-  EXPECT_TRUE(S.modelValue(B));
-  S.resetToRoot();
-  S.popAssertLevel();
-  S.pushAssertLevel();
-  ASSERT_TRUE(S.addClause({sat::Lit(B, true)})); // now force !b, hence !a
-  EXPECT_EQ(S.solve(), sat::SatSolver::Result::Sat);
-  EXPECT_FALSE(S.modelValue(B));
-  EXPECT_FALSE(S.modelValue(A));
-}
-
-TEST(SatLevelTest, NestedLevels) {
-  sat::SatSolver S;
-  sat::Var A = S.newVar(), B = S.newVar(), C = S.newVar();
-  ASSERT_TRUE(S.addClause({sat::Lit(A, false), sat::Lit(B, false),
-                           sat::Lit(C, false)}));
-  S.pushAssertLevel();
-  ASSERT_TRUE(S.addClause({sat::Lit(A, true)}));
-  S.pushAssertLevel();
-  ASSERT_TRUE(S.addClause({sat::Lit(B, true)}));
-  EXPECT_EQ(S.solve(), sat::SatSolver::Result::Sat);
-  EXPECT_TRUE(S.modelValue(C));
-  S.resetToRoot();
-  S.pushAssertLevel();
-  // c was root-implied by the two unit levels; forcing !c refutes at the
-  // current level already.
-  EXPECT_FALSE(S.addClause({sat::Lit(C, true)}));
-  EXPECT_EQ(S.solve(), sat::SatSolver::Result::Unsat);
-  S.popAssertLevel(); // drop !c
-  S.popAssertLevel(); // drop !b
-  EXPECT_EQ(S.solve(), sat::SatSolver::Result::Sat);
-  EXPECT_TRUE(S.modelValue(B) || S.modelValue(C));
-  S.popAssertLevel(); // drop !a
-  EXPECT_EQ(S.solve(), sat::SatSolver::Result::Sat);
-}
 
 // --------------------------------------------------- CongruenceClosure --
 
@@ -284,27 +220,6 @@ TEST(ArrayReducerTest, MatchesOneShotLemmaSet) {
   EXPECT_EQ(L1.size() + L2.size(), OneShot.NumLemmas);
 }
 
-TEST(ArrayReducerTest, PopRetractsDemands) {
-  TermManager TM;
-  const Sort *IntInt = TM.getArraySort(TM.intSort(), TM.intSort());
-  TermRef A = TM.mkVar("a", IntInt);
-  TermRef X = TM.mkVar("x", TM.intSort());
-  TermRef St = TM.mkStore(A, TM.mkIntConst(1), TM.mkIntConst(2));
-  TermRef Q = TM.mkEq(TM.mkSelect(St, X), TM.mkIntConst(2));
-
-  ArrayReducer R(TM);
-  R.push();
-  std::vector<TermRef> First = R.assertFormula(Q);
-  EXPECT_FALSE(First.empty());
-  R.pop();
-  R.push();
-  // After the pop the demand records are retracted, so the same assertion
-  // must re-derive the same lemmas rather than returning nothing.
-  std::vector<TermRef> Second = R.assertFormula(Q);
-  EXPECT_EQ(First.size(), Second.size());
-  R.pop();
-}
-
 // -------------------------------------------------------- SolverContext --
 
 namespace {
@@ -313,49 +228,58 @@ protected:
   TermManager TM;
   SolverOptions Opts;
 };
+
+/// Asserts \p Fs on a fresh context and checks it once.
+SolverResult checkFresh(TermManager &TM, const SolverOptions &Opts,
+                        const std::vector<TermRef> &Fs,
+                        Model *ModelOut = nullptr) {
+  SolverContext Ctx(TM, Opts);
+  for (TermRef F : Fs)
+    Ctx.assertTerm(F);
+  SolverResult R = Ctx.checkSat();
+  if (ModelOut)
+    *ModelOut = Ctx.model();
+  return R;
+}
 } // namespace
 
 TEST_F(ContextTest, PushPopVerdicts) {
-  SolverContext Ctx(TM, Opts);
+  // Verdicts of a growing and shrinking assertion set, one context each.
   TermRef X = TM.mkVar("x", TM.intSort());
-  Ctx.assertTerm(TM.mkLe(TM.mkIntConst(0), X));
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Sat);
-  Ctx.push();
-  Ctx.assertTerm(TM.mkLt(X, TM.mkIntConst(0)));
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Unsat);
-  Ctx.pop();
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Sat);
-  Ctx.push();
-  Ctx.assertTerm(TM.mkEq(X, TM.mkIntConst(3)));
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Sat);
-  Value V = Ctx.model().evaluate(X);
+  TermRef NonNeg = TM.mkLe(TM.mkIntConst(0), X);
+  EXPECT_EQ(checkFresh(TM, Opts, {NonNeg}), SolverResult::Sat);
+  EXPECT_EQ(checkFresh(TM, Opts, {NonNeg, TM.mkLt(X, TM.mkIntConst(0))}),
+            SolverResult::Unsat);
+  EXPECT_EQ(checkFresh(TM, Opts, {NonNeg}), SolverResult::Sat);
+  Model M;
+  EXPECT_EQ(checkFresh(TM, Opts, {NonNeg, TM.mkEq(X, TM.mkIntConst(3))}, &M),
+            SolverResult::Sat);
+  Value V = M.evaluate(X);
   EXPECT_EQ(V.K, Value::Kind::Int);
   EXPECT_EQ(V.I, BigInt(3));
-  Ctx.pop();
 }
 
 TEST_F(ContextTest, CheckSatAssuming) {
-  SolverContext Ctx(TM, Opts);
+  // A base assertion strengthened by one assumption per check.
   TermRef P = TM.mkVar("p", TM.boolSort());
   TermRef Q = TM.mkVar("q", TM.boolSort());
-  Ctx.assertTerm(TM.mkImplies(P, Q));
-  EXPECT_EQ(Ctx.checkSatAssuming(TM.mkAnd(P, TM.mkNot(Q))),
+  TermRef Base = TM.mkImplies(P, Q);
+  EXPECT_EQ(checkFresh(TM, Opts, {Base, TM.mkAnd(P, TM.mkNot(Q))}),
             SolverResult::Unsat);
-  EXPECT_EQ(Ctx.checkSatAssuming(TM.mkAnd(P, Q)), SolverResult::Sat);
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Sat);
+  EXPECT_EQ(checkFresh(TM, Opts, {Base, TM.mkAnd(P, Q)}), SolverResult::Sat);
+  EXPECT_EQ(checkFresh(TM, Opts, {Base}), SolverResult::Sat);
 }
 
 TEST_F(ContextTest, ArrayPrefixSharedAcrossClaims) {
-  // The batching pattern: array facts in the prefix, per-claim negations
-  // pushed and popped. All three claims are consequences of the prefix.
-  SolverContext Ctx(TM, Opts);
+  // Array facts shared by several claims, each claim negated on its own
+  // context. All three claims are consequences of the shared facts.
   const Sort *IntInt = TM.getArraySort(TM.intSort(), TM.intSort());
   TermRef A = TM.mkVar("a", IntInt);
   TermRef I = TM.mkVar("i", TM.intSort());
   TermRef J = TM.mkVar("j", TM.intSort());
   TermRef St = TM.mkStore(A, I, TM.mkIntConst(5));
-  Ctx.assertTerm(TM.mkDistinct(I, J));
-  Ctx.assertTerm(TM.mkEq(TM.mkSelect(A, J), TM.mkIntConst(1)));
+  std::vector<TermRef> Prefix = {
+      TM.mkDistinct(I, J), TM.mkEq(TM.mkSelect(A, J), TM.mkIntConst(1))};
 
   std::vector<TermRef> Claims = {
       TM.mkEq(TM.mkSelect(St, I), TM.mkIntConst(5)),
@@ -363,31 +287,15 @@ TEST_F(ContextTest, ArrayPrefixSharedAcrossClaims) {
       TM.mkLt(TM.mkSelect(St, J), TM.mkSelect(St, I)),
   };
   for (TermRef C : Claims) {
-    Ctx.push();
-    Ctx.assertTerm(TM.mkNot(C));
-    EXPECT_EQ(Ctx.checkSat(), SolverResult::Unsat) << "claim not proved";
-    Ctx.pop();
+    std::vector<TermRef> Fs = Prefix;
+    Fs.push_back(TM.mkNot(C));
+    EXPECT_EQ(checkFresh(TM, Opts, Fs), SolverResult::Unsat)
+        << "claim not proved";
   }
-  // And a non-consequence must stay Sat (no over-retention of lemmas).
-  Ctx.push();
-  Ctx.assertTerm(TM.mkNot(TM.mkEq(TM.mkSelect(St, J), TM.mkIntConst(2))));
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Sat);
-  Ctx.pop();
-}
-
-TEST_F(ContextTest, PerCheckStatsAreDeltas) {
-  SolverContext Ctx(TM, Opts);
-  TermRef X = TM.mkVar("x", TM.intSort());
-  Ctx.assertTerm(TM.mkLe(TM.mkIntConst(0), X));
-  Ctx.checkSat();
-  uint64_t FirstChecks = Ctx.lastCheckStats().TheoryChecks;
-  EXPECT_GT(FirstChecks, 0u);
-  Ctx.push();
-  Ctx.assertTerm(TM.mkLe(X, TM.mkIntConst(10)));
-  Ctx.checkSat();
-  // The second check's window must not include the first check's count.
-  EXPECT_LT(Ctx.lastCheckStats().TheoryChecks, FirstChecks + 10);
-  Ctx.pop();
+  // And a non-consequence must stay Sat.
+  std::vector<TermRef> Fs = Prefix;
+  Fs.push_back(TM.mkNot(TM.mkEq(TM.mkSelect(St, J), TM.mkIntConst(2))));
+  EXPECT_EQ(checkFresh(TM, Opts, Fs), SolverResult::Sat);
 }
 
 TEST_F(ContextTest, ArrayLemmasCountedAtAssert) {
@@ -412,43 +320,38 @@ TEST_F(ContextTest, ArrayLemmasCountedAtAssert) {
 
 TEST_F(ContextTest, TheoryPropReasonsAcrossPop) {
   // An equality chain entails the a=c atom, which theory propagation
-  // asserts at the root instead of leaving it to a decision. A later
-  // level contradicts it, so conflict analysis must consume the
-  // propagated literal's lazily explained reason under an open assertion
-  // level — and the pop must retract the level without stranding any
-  // propagation bookkeeping (verdicts flip back cleanly).
+  // asserts at the root instead of leaving it to a decision. Adding a
+  // contradiction makes conflict analysis consume the propagated
+  // literal's lazily explained reason; without it the chain stays Sat.
   SolverOptions PropOpts = Opts;
   PropOpts.TheoryPropagation = true;
-  SolverContext Ctx(TM, PropOpts);
   TermRef A = TM.mkVar("a", TM.intSort());
   TermRef B = TM.mkVar("b", TM.intSort());
   TermRef C = TM.mkVar("c", TM.intSort());
   TermRef D = TM.mkVar("d", TM.boolSort());
-  Ctx.assertTerm(TM.mkEq(A, B));
-  Ctx.assertTerm(TM.mkEq(B, C));
-  Ctx.assertTerm(TM.mkOr(TM.mkEq(A, C), D));
-  ASSERT_EQ(Ctx.checkSat(), SolverResult::Sat);
-  EXPECT_GT(Ctx.lastCheckStats().TheoryPropagations, 0u);
+  std::vector<TermRef> Chain = {TM.mkEq(A, B), TM.mkEq(B, C),
+                                TM.mkOr(TM.mkEq(A, C), D)};
+  trace::Counter &Props = trace::counter("smt.theory_propagations");
+  const uint64_t PropsBefore = Props.value();
+  ASSERT_EQ(checkFresh(TM, PropOpts, Chain), SolverResult::Sat);
+  EXPECT_GT(Props.value() - PropsBefore, 0u);
 
-  Ctx.push();
-  Ctx.assertTerm(TM.mkNot(TM.mkEq(A, C)));
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Unsat);
-  Ctx.pop();
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Sat);
+  std::vector<TermRef> Fs = Chain;
+  Fs.push_back(TM.mkNot(TM.mkEq(A, C)));
+  EXPECT_EQ(checkFresh(TM, PropOpts, Fs), SolverResult::Unsat);
+  EXPECT_EQ(checkFresh(TM, PropOpts, Chain), SolverResult::Sat);
 
   // Same shape through the arithmetic side: c = a + 1 contradicts the
   // chain via bounds rather than congruence.
-  Ctx.push();
-  Ctx.assertTerm(TM.mkEq(C, TM.mkAdd(A, TM.mkIntConst(1))));
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Unsat);
-  Ctx.pop();
-  EXPECT_EQ(Ctx.checkSat(), SolverResult::Sat);
+  Fs = Chain;
+  Fs.push_back(TM.mkEq(C, TM.mkAdd(A, TM.mkIntConst(1))));
+  EXPECT_EQ(checkFresh(TM, PropOpts, Fs), SolverResult::Unsat);
+  EXPECT_EQ(checkFresh(TM, PropOpts, Chain), SolverResult::Sat);
 }
 
 TEST_F(ContextTest, AgreesWithOneShotOnConjunction) {
-  // Incremental verdicts must match a fresh one-shot solve of the active
-  // conjunction at every step of a scripted push/pop sequence.
-  SolverContext Ctx(TM, Opts);
+  // Context verdicts must match a one-shot solve of the same conjunction
+  // at every step of a scripted grow/shrink sequence.
   TermRef X = TM.mkVar("x", TM.intSort());
   TermRef Y = TM.mkVar("y", TM.intSort());
   const Sort *IntBool = TM.getArraySort(TM.intSort(), TM.boolSort());
@@ -456,33 +359,24 @@ TEST_F(ContextTest, AgreesWithOneShotOnConjunction) {
 
   std::vector<TermRef> Active;
   auto CrossCheck = [&]() {
-    SolverResult Inc = Ctx.checkSat();
+    SolverResult Inc = checkFresh(TM, Opts, Active);
     TermManager Fresh;
     Solver OneShot(Fresh);
     SolverResult Ref = OneShot.checkSat(Fresh.import(TM.mkAnd(Active)));
     EXPECT_EQ(static_cast<int>(Inc), static_cast<int>(Ref));
   };
 
-  auto Assert = [&](TermRef F) {
-    Ctx.assertTerm(F);
-    Active.push_back(F);
-  };
-
-  Assert(TM.mkMember(X, TM.mkSetInsert(S0, X)));
+  Active.push_back(TM.mkMember(X, TM.mkSetInsert(S0, X)));
   CrossCheck();
-  Ctx.push();
   size_t Mark = Active.size();
-  Assert(TM.mkNot(TM.mkMember(Y, S0)));
-  Assert(TM.mkEq(X, Y));
+  Active.push_back(TM.mkNot(TM.mkMember(Y, S0)));
+  Active.push_back(TM.mkEq(X, Y));
   CrossCheck();
-  Ctx.push();
   size_t Mark2 = Active.size();
-  Assert(TM.mkMember(Y, S0));
+  Active.push_back(TM.mkMember(Y, S0));
   CrossCheck(); // unsat
-  Ctx.pop();
   Active.resize(Mark2);
   CrossCheck();
-  Ctx.pop();
   Active.resize(Mark);
   CrossCheck();
 }

@@ -210,37 +210,6 @@ TEST(SatTest, ReduceDbSparesLockedAndInputClauses) {
   EXPECT_EQ(S.solve(), SatSolver::Result::Sat);
 }
 
-TEST(SatTest, ReduceDbSweepsAcrossAssertLevels) {
-  // A tiny trigger forces sweeps during the level-1 refutation; popping
-  // the level must recycle deleted and retracted clauses consistently
-  // and restore the satisfiable base level.
-  SatSolver S;
-  S.setReduceDbLimit(1);
-  Var X = S.newVar();
-  ASSERT_TRUE(S.addClause({Lit(X, false)}));
-
-  S.pushAssertLevel();
-  addPigeonhole(S, 4, 3);
-  EXPECT_EQ(S.solve(), SatSolver::Result::Unsat);
-  EXPECT_TRUE(S.unsatAtCurrentLevel());
-  EXPECT_GT(S.numReduceDbSweeps(), 0u);
-
-  S.resetToRoot();
-  S.popAssertLevel();
-  EXPECT_FALSE(S.unsatAtCurrentLevel());
-  EXPECT_EQ(S.solve(), SatSolver::Result::Sat);
-  EXPECT_TRUE(S.modelValue(X));
-
-  // Re-adding the refutation reuses recycled clause slots; the verdict
-  // must be identical the second time around.
-  S.resetToRoot();
-  S.pushAssertLevel();
-  addPigeonhole(S, 4, 3);
-  EXPECT_EQ(S.solve(), SatSolver::Result::Unsat);
-  S.popAssertLevel();
-  EXPECT_EQ(S.solve(), SatSolver::Result::Sat);
-}
-
 namespace {
 /// External-propagation theory: whenever A is false on the partial trail,
 /// every variable in Implied is propagated true. Reason clauses
@@ -305,94 +274,49 @@ TEST(SatTest, TheoryPropagationLazyReason) {
   EXPECT_GT(T.Explains, 0u);
 }
 
-TEST(SatTest, TheoryPropReasonsAcrossPopAssertLevel) {
-  // Root-level theory implications and their materialized reason clauses
-  // must die with the assertion level whose clauses forced them.
-  SatSolver S;
-  S.setTheoryPropagation(true);
-  Var A = S.newVar(), B = S.newVar(), C = S.newVar();
-  S.markTheoryVar(A);
-  S.markTheoryVar(B);
-  // Keep both theory vars alive without constraining them: (A or C) and
-  // (B or C) are satisfied by C alone.
-  ASSERT_TRUE(S.addClause({Lit(A, false), Lit(C, false)}));
-  ASSERT_TRUE(S.addClause({Lit(B, false), Lit(C, false)}));
-  ImplyOnFalse T(A, {B}, S);
-
-  // Level 1 forces A false at the root; the theory then propagates B true
-  // as a ROOT implication, whose reason clause is materialized eagerly at
-  // enqueue and must be recorded against the live assertion level.
-  S.pushAssertLevel();
-  ASSERT_TRUE(S.addClause({Lit(A, true)}));
-  EXPECT_EQ(S.solve(&T), SatSolver::Result::Sat);
-  EXPECT_FALSE(S.modelValue(A));
-  EXPECT_TRUE(S.modelValue(B));
-
-  // Popping the level kills the unit not-A; the theory-implied B must be
-  // unassigned with it — a stale root implication would make the next
-  // level's unit not-B incorrectly unsatisfiable.
-  S.resetToRoot();
-  S.popAssertLevel();
-  S.pushAssertLevel();
-  ASSERT_TRUE(S.addClause({Lit(B, true)}));
-  EXPECT_EQ(S.solve(&T), SatSolver::Result::Sat);
-  EXPECT_FALSE(S.modelValue(B));
-  EXPECT_TRUE(S.modelValue(A)); // A false would re-imply B via the theory
-
-  S.resetToRoot();
-  S.popAssertLevel();
-  EXPECT_EQ(S.solve(&T), SatSolver::Result::Sat);
-}
-
-/// Property test: aggressive deletion with an assertion-level pop in the
-/// middle agrees with the brute-force oracle at every stage — this is
-/// the deleted-then-repropagated interaction (a lemma deleted during the
-/// level-1 search may have its implications re-derived after the pop
-/// from base clauses alone).
-TEST(SatTest, PropertyDeletionAcrossPopVsBruteForce) {
+/// Property test: aggressive deletion agrees with the brute-force oracle
+/// on a base clause set and again after more clauses are added at the
+/// root — the deleted-then-repropagated interaction (a lemma deleted
+/// during the first search may have its implications re-derived in the
+/// second from input clauses alone).
+TEST(SatTest, PropertyDeletionVsBruteForce) {
   std::mt19937 Rng(1337);
   uint64_t TotalDeleted = 0;
   for (int Iter = 0; Iter < 200; ++Iter) {
     int NumVars = 6 + static_cast<int>(Rng() % 6); // 6..11
     int NumBase = static_cast<int>(NumVars * 2.2);
-    int NumLevel1 = static_cast<int>(NumVars * 2.1);
+    int NumExtra = static_cast<int>(NumVars * 2.1);
     auto RandomClause = [&] {
       std::vector<Lit> C;
       for (int K = 0; K < 3; ++K)
         C.push_back(Lit(static_cast<Var>(Rng() % NumVars), Rng() % 2 == 0));
       return C;
     };
+    std::vector<std::vector<Lit>> Base, Extra;
+    for (int I = 0; I < NumBase; ++I)
+      Base.push_back(RandomClause());
+    for (int I = 0; I < NumExtra; ++I)
+      Extra.push_back(RandomClause());
 
     SatSolver S;
     S.setReduceDbLimit(2);
     for (int I = 0; I < NumVars; ++I)
       S.newVar();
-    std::vector<std::vector<Lit>> Base, Level1;
-    bool BaseOk = true;
-    for (int I = 0; I < NumBase; ++I) {
-      Base.push_back(RandomClause());
-      BaseOk = S.addClause(Base.back()) && BaseOk;
-    }
-    S.pushAssertLevel();
-    bool AllOk = BaseOk;
-    for (int I = 0; I < NumLevel1; ++I) {
-      Level1.push_back(RandomClause());
-      AllOk = S.addClause(Level1.back()) && AllOk;
-    }
-
-    std::vector<std::vector<Lit>> All = Base;
-    All.insert(All.end(), Level1.begin(), Level1.end());
-    bool ExpectAll = bruteForceSat(NumVars, All);
-    SatSolver::Result R1 =
-        AllOk ? S.solve() : SatSolver::Result::Unsat;
-    EXPECT_EQ(R1 == SatSolver::Result::Sat, ExpectAll) << "iter " << Iter;
+    bool Ok = true;
+    for (const std::vector<Lit> &C : Base)
+      Ok = S.addClause(C) && Ok;
+    bool ExpectBase = bruteForceSat(NumVars, Base);
+    SatSolver::Result R1 = Ok ? S.solve() : SatSolver::Result::Unsat;
+    EXPECT_EQ(R1 == SatSolver::Result::Sat, ExpectBase) << "iter " << Iter;
 
     S.resetToRoot();
-    S.popAssertLevel();
-    bool ExpectBase = bruteForceSat(NumVars, Base);
-    SatSolver::Result R2 =
-        BaseOk ? S.solve() : SatSolver::Result::Unsat;
-    EXPECT_EQ(R2 == SatSolver::Result::Sat, ExpectBase) << "iter " << Iter;
+    for (const std::vector<Lit> &C : Extra)
+      Ok = S.addClause(C) && Ok;
+    std::vector<std::vector<Lit>> All = Base;
+    All.insert(All.end(), Extra.begin(), Extra.end());
+    bool ExpectAll = bruteForceSat(NumVars, All);
+    SatSolver::Result R2 = Ok ? S.solve() : SatSolver::Result::Unsat;
+    EXPECT_EQ(R2 == SatSolver::Result::Sat, ExpectAll) << "iter " << Iter;
     TotalDeleted += S.numLemmasDeleted();
   }
   // The tiny limit must have made the sweeps actually delete lemmas

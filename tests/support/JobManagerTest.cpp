@@ -1,8 +1,7 @@
 //===- tests/support/JobManagerTest.cpp -----------------------------------===//
 //
-// Unit suite for the work-stealing JobManager: steal distribution,
-// dependency ordering, dynamic spawn, exception propagation, and
-// deterministic shutdown. Every multi-threaded test is written so the
+// Unit suite for the FIFO JobManager: inline and threaded execution,
+// dynamic spawn, exception propagation, and deterministic shutdown. Every multi-threaded test is written so the
 // assertion holds on any interleaving — no sleeps, no timing windows.
 //
 //===----------------------------------------------------------------------===//
@@ -13,11 +12,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 using ids::jobs::JobManager;
@@ -79,43 +74,6 @@ TEST(JobManagerTest, DynamicSpawnFromInsideTask) {
     JM.wait();
     EXPECT_EQ(Count.load(), 21) << "jobs=" << Jobs;
   }
-}
-
-// Steal distribution: one spawner task floods its own deque with tasks
-// that each block until W-1 of them run concurrently. The only way the
-// barrier releases is if W-1 distinct *other* workers steal from the
-// spawner's deque — pinning both the steal path and its distribution
-// without any timing assumption.
-TEST(JobManagerTest, StealsDistributeAcrossWorkers) {
-  const unsigned W = 4;
-  JobManager JM(W);
-  ids::trace::counter("jobs.steals").reset();
-
-  std::mutex M;
-  std::condition_variable Cv;
-  unsigned Arrived = 0;
-  std::set<std::thread::id> Threads;
-
-  JM.submit([&] {
-    for (unsigned I = 0; I + 1 < W; ++I)
-      JM.submit([&] {
-        std::unique_lock<std::mutex> Lock(M);
-        Threads.insert(std::this_thread::get_id());
-        if (++Arrived == W - 1)
-          Cv.notify_all();
-        else
-          Cv.wait(Lock, [&] { return Arrived == W - 1; });
-      });
-    // Keep the spawner busy until the waiters release each other so it
-    // cannot drain its own deque first.
-    std::unique_lock<std::mutex> Lock(M);
-    Cv.wait(Lock, [&] { return Arrived == W - 1; });
-  });
-  JM.wait();
-
-  EXPECT_EQ(Threads.size(), W - 1) << "waiters must run on distinct workers";
-  EXPECT_GE(ids::trace::counter("jobs.steals").value(),
-            static_cast<uint64_t>(W - 1));
 }
 
 TEST(JobManagerTest, TasksCounterTracksSubmissions) {
