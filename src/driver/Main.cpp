@@ -39,12 +39,10 @@ using namespace ids;
 static void printPipelineStats(const pipeline::Stats &St) {
   printf("    pipeline: %u obligations (%u simplified away), "
          "%u/%u guard conjuncts sliced, %u queries (%u cache hits, "
-         "%u slice fallbacks, %u escalated), max %u atoms / %u array "
-         "lemmas\n",
+         "%u slice fallbacks), max %u atoms / %u array lemmas\n",
          St.Obligations, St.ProvedBySimplify, St.ConjunctsSliced,
          St.ConjunctsBeforeSlice, St.Queries, St.CacheHits,
-         St.SliceFallbacks, St.EscalatedQueries, St.MaxAtoms,
-         St.MaxArrayLemmas);
+         St.SliceFallbacks, St.MaxAtoms, St.MaxArrayLemmas);
 }
 
 /// Registry-comparable status key; must produce exactly the strings

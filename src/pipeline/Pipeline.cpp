@@ -14,7 +14,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <unordered_map>
 
@@ -48,8 +47,6 @@ const StatsRow StatsRows[] = {
      false},
     {"slice_fallbacks",
      [](const Stats &S) { return uint64_t(S.SliceFallbacks); }, false},
-    {"escalated_queries",
-     [](const Stats &S) { return uint64_t(S.EscalatedQueries); }, false},
     {"max_atoms", [](const Stats &S) { return uint64_t(S.MaxAtoms); }, true},
     {"max_array_lemmas",
      [](const Stats &S) { return uint64_t(S.MaxArrayLemmas); }, true},
@@ -94,7 +91,6 @@ void Stats::merge(const Stats &O) {
   Queries += O.Queries;
   CacheHits += O.CacheHits;
   SliceFallbacks += O.SliceFallbacks;
-  EscalatedQueries += O.EscalatedQueries;
   MaxAtoms = std::max(MaxAtoms, O.MaxAtoms);
   MaxArrayLemmas = std::max(MaxArrayLemmas, O.MaxArrayLemmas);
   TotalAtoms += O.TotalAtoms;
@@ -162,7 +158,6 @@ public:
     }
 
     St.Queries += static_cast<unsigned>(RunList.size());
-    St.EscalatedQueries += Escalations.exchange(0, std::memory_order_relaxed);
     for (size_t Idx : RunList) {
       St.TotalAtoms += Out[Idx].NumAtoms;
       St.TotalArrayLemmas += Out[Idx].NumArrayLemmas;
@@ -187,9 +182,9 @@ public:
 private:
   /// One solve of \p Query. Quantifier-free queries get a fresh
   /// SolverContext holding the query as its single assertion;
-  /// --no-incremental, the quantified encoding and the \p Eager
-  /// escalation use the one-shot reference Solver.
-  QueryCache::Outcome attempt(TermRef Query, bool Eager, bool &GaveUp) {
+  /// --no-incremental and the quantified encoding use the one-shot
+  /// reference Solver.
+  QueryCache::Outcome solveOne(TermRef Query) {
     // Snapshot overlay over the frozen base manager: the query term is
     // directly valid in the overlay's view, so there is no per-task
     // formula copy — the solver's own delta (CNF literals, lemma terms)
@@ -201,24 +196,23 @@ private:
     SOpts.TimeoutSeconds = Opts.QueryTimeoutSeconds;
     SOpts.ClauseDeletion = Opts.ReduceDb;
     QueryCache::Outcome O;
-    if (Opts.Incremental && !Opts.AllowQuantifiers && !Eager) {
+    if (Opts.Incremental && !Opts.AllowQuantifiers) {
       SOpts.TheoryPropagation = Opts.TheoryProp;
       SolverContext Ctx(Local, SOpts);
       Ctx.assertTerm(Query);
       O.R = Ctx.checkSat();
       O.NumAtoms = Ctx.stats().NumAtoms;
       O.NumArrayLemmas = Ctx.numArrayLemmas();
-      GaveUp = Ctx.stats().ModelGiveUps > 0;
+      O.Why = Ctx.stats().Why;
       if (O.R == Solver::Result::Sat)
         O.ModelText = Ctx.model().toString();
       return O;
     }
-    SOpts.EagerArrayInstantiation = Eager;
     Solver S(Local, SOpts);
     O.R = S.checkSat(Query);
     O.NumAtoms = S.stats().NumAtoms;
     O.NumArrayLemmas = S.stats().ArrayStats.NumLemmas;
-    GaveUp = S.stats().ModelGiveUps > 0;
+    O.Why = S.stats().Why;
     if (O.R == Solver::Result::Sat)
       O.ModelText = S.model().toString();
     return O;
@@ -227,41 +221,9 @@ private:
   QueryCache::Outcome runQuery(TermRef Query) {
     trace::ScopedSpan Sp("pipeline.solve");
     const uint64_t T0 = trace::nowUs();
-    bool GaveUp = false;
-    QueryCache::Outcome O = attempt(Query, /*Eager=*/false, GaveUp);
-    double EscalateSec = 0;
-    if (O.R == Solver::Result::Unknown && GaveUp)
-      O = escalate(Query, O, EscalateSec);
+    QueryCache::Outcome O = solveOne(Query);
     finishQuerySpan(Sp, Query, O);
-    maybeRecordSlow(Query, double(trace::nowUs() - T0) / 1e6, EscalateSec, O);
-    return O;
-  }
-
-  /// Escalation of a model give-up (\p Prior, from the relevancy-driven
-  /// instantiation, whose model builder leaves extensional gaps on a few
-  /// query shapes): re-solves \p Query one-shot with the blind array
-  /// product, quadratically bigger but decisive on them. Unknown is only
-  /// reported once both attempts fail. Only model give-ups escalate — a
-  /// budget or timeout Unknown would just exhaust again on the larger
-  /// query. The atom and lemma counters report the max of both attempts;
-  /// \p Sec receives the escalation's wall time.
-  QueryCache::Outcome escalate(TermRef Query, const QueryCache::Outcome &Prior,
-                               double &Sec) {
-    const uint64_t T0 = trace::nowUs();
-    QueryCache::Outcome O;
-    {
-      trace::ScopedSpan Esc("pipeline.escalate");
-      if (Esc.active()) {
-        Esc.arg("proc", Opts.TraceLabel);
-        Esc.arg("vc", vcHashHex(Query));
-      }
-      bool GaveUp = false;
-      O = attempt(Query, /*Eager=*/true, GaveUp);
-    }
-    O.NumAtoms = std::max(Prior.NumAtoms, O.NumAtoms);
-    O.NumArrayLemmas = std::max(Prior.NumArrayLemmas, O.NumArrayLemmas);
-    Sec = double(trace::nowUs() - T0) / 1e6;
-    Escalations.fetch_add(1, std::memory_order_relaxed);
+    maybeRecordSlow(Query, double(trace::nowUs() - T0) / 1e6, O);
     return O;
   }
 
@@ -293,7 +255,7 @@ private:
   /// Appends a JSONL record when \p Sec crosses --slow-query-ms (no-op
   /// with the threshold unset). One line per heavy query: the artifact
   /// that turns "insert is slow" folklore into attributable data.
-  void maybeRecordSlow(TermRef Query, double Sec, double EscalateSec,
+  void maybeRecordSlow(TermRef Query, double Sec,
                        const QueryCache::Outcome &O) {
     double Th = trace::slowQueryThresholdMs();
     if (Th <= 0 || Sec * 1000.0 < Th)
@@ -306,7 +268,6 @@ private:
     Rec.set("vc", json::Value::string(vcHashHex(Query)));
     Rec.set("verdict", json::Value::string(verdictName(O.R)));
     Rec.set("seconds", json::Value::number(Sec));
-    Rec.set("escalate_seconds", json::Value::number(EscalateSec));
     Rec.set("atoms", json::Value::number(double(O.NumAtoms)));
     Rec.set("array_lemmas", json::Value::number(double(O.NumArrayLemmas)));
     trace::appendSlowQuery(Rec);
@@ -318,7 +279,6 @@ private:
   const Options &Opts;
   QueryCache *Cache;
   Stats &St;
-  std::atomic<unsigned> Escalations{0};
 };
 
 } // namespace
@@ -469,6 +429,7 @@ pipeline::Result pipeline::solveObligations(
   // ---- Stage 5: per-obligation verdicts, first failure reported. ----
   enum class OV { Proved, Failed, Unknown };
   std::vector<OV> V(Obls.size(), OV::Proved);
+  std::vector<UnknownReason> Why(Obls.size(), UnknownReason::None);
   std::unordered_map<size_t, std::string> Models;
   bool GroupNoWitness = false;
   for (size_t U = 0; U < Units.size(); ++U) {
@@ -477,8 +438,10 @@ pipeline::Result pipeline::solveObligations(
     if (O1.R == Solver::Result::Unsat)
       continue;
     if (O1.R == Solver::Result::Unknown) {
-      for (size_t M : Un.Members)
+      for (size_t M : Un.Members) {
         V[M] = OV::Unknown;
+        Why[M] = O1.Why;
+      }
       continue;
     }
     if (Un.Members.size() == 1 &&
@@ -497,6 +460,7 @@ pipeline::Result pipeline::solveObligations(
         AnySat = true;
       } else if (O2.R == Solver::Result::Unknown) {
         V[M] = OV::Unknown;
+        Why[M] = O2.Why;
         AnyUnknown = true;
       }
     }
@@ -526,11 +490,8 @@ pipeline::Result pipeline::solveObligations(
     if (V[I] != OV::Unknown)
       continue;
     R.V = Verdict::Unknown;
-    R.FailedDescription =
-        Obls[I].Description + " (at " + Obls[I].Loc.toString() + "): " +
-        (Opts.AllowQuantifiers
-             ? "quantified encoding: instantiation was incomplete"
-             : "solver resource budget exhausted");
+    R.FailedDescription = Obls[I].Description + " (at " +
+                          Obls[I].Loc.toString() + "): " + describe(Why[I]);
     return R;
   }
   return R;

@@ -13,8 +13,7 @@
 /// query on a fresh SolverContext, the query as its single
 /// assertion, in a snapshot overlay of the (frozen) caller TermManager,
 /// so workers share the read-mostly term structure and pay only for
-/// their own delta. A model give-up escalates to the one-shot solver's
-/// blind array product. Every stage is independently disableable
+/// their own delta. Every stage is independently disableable
 /// (`--no-simp`, `--no-slice`, `--no-cache`, `--jobs 1`) so the
 /// transforms can be tested differentially.
 ///
@@ -87,8 +86,6 @@ struct Stats {
   unsigned CacheHits = 0;
   /// Sat answers on sliced queries re-checked against the full guard.
   unsigned SliceFallbacks = 0;
-  /// Model give-ups retried with eager (blind) array instantiation.
-  unsigned EscalatedQueries = 0;
   /// Largest query the solver saw (post-pipeline), and totals.
   unsigned MaxAtoms = 0;
   unsigned MaxArrayLemmas = 0;

@@ -53,6 +53,8 @@ public:
     std::string ModelText; ///< countermodel when R == Sat
     unsigned NumAtoms = 0;
     unsigned NumArrayLemmas = 0;
+    /// Why R == Unknown (never cached, so never persisted).
+    smt::UnknownReason Why = smt::UnknownReason::None;
   };
 
   /// 128-bit structural key of a query DAG.

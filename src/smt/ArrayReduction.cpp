@@ -6,9 +6,6 @@
 
 #include "smt/ArrayReduction.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -113,14 +110,6 @@ private:
   std::vector<TermRef> Defs;
 };
 
-/// Collects every subterm of a DAG once.
-void collectSubterms(TermRef T, std::unordered_set<TermRef> &Out) {
-  if (!Out.insert(T).second)
-    return;
-  for (TermRef A : T->getArgs())
-    collectSubterms(A, Out);
-}
-
 /// Marks the polarities under which each Eq-over-arrays atom occurs.
 /// Bit 1 = positive, bit 2 = negative. \p NegOrderOut receives each atom
 /// once, in traversal order, when it first gains the negative bit —
@@ -193,294 +182,10 @@ TermRef smt::liftItes(TermManager &TM, TermRef Formula) {
 
 TermRef smt::reduceArrays(TermManager &TM, TermRef Formula,
                           ArrayReductionStats *Stats, bool Eager) {
-  std::vector<TermRef> Lemmas;
-
-  // Step 1: witnesses for array equalities that occur negatively.
-  {
-    std::unordered_map<TermRef, int> Polarities;
-    std::unordered_map<TermRef, int> Seen;
-    std::vector<TermRef> NegEqs;
-    markPolarities(Formula, 1, Polarities, Seen, NegEqs);
-    for (TermRef EqTerm : NegEqs) {
-      TermRef A = EqTerm->getArg(0), B = EqTerm->getArg(1);
-      TermRef W = TM.mkFreshVar("extw", A->getSort()->getKey());
-      // a == b  \/  a[w] != b[w]
-      Lemmas.push_back(TM.mkOr(
-          EqTerm, TM.mkNot(TM.mkEq(TM.mkSelect(A, W), TM.mkSelect(B, W)))));
-      if (Stats)
-        ++Stats->NumWitnesses;
-    }
-  }
-
-  // Step 2: gather array terms and index terms (from the formula and the
-  // witness lemmas). Iteration over the unordered subterm set is made
-  // deterministic by sorting on term ids — lemma instantiation order
-  // must not depend on pointer hashing, or budgeted runs flake.
-  std::unordered_set<TermRef> AllSet;
-  collectSubterms(Formula, AllSet);
-  for (TermRef L : Lemmas)
-    collectSubterms(L, AllSet);
-  std::vector<TermRef> All(AllSet.begin(), AllSet.end());
-  std::sort(All.begin(), All.end(),
-            [](TermRef A, TermRef B) { return A->getId() < B->getId(); });
-
-  // Relevancy-driven instantiation (replaces blind per-sort or
-  // per-component products): a read-over-composite axiom for (A, I) is
-  // needed only when some select actually demands A at I. Demands seed
-  // from every select in the formula/witness lemmas and propagate
-  //   - down through structure: peeling a store demands its base, the
-  //     pointwise combinators demand their operands (and the pwIte its
-  //     guard), each at the same index, exactly mirroring the select
-  //     terms their axioms introduce, and
-  //   - across array equality atoms: congruence makes select(B, I)
-  //     relevant whenever A == B occurs and select(A, I) is demanded.
-  // The demand closure is a unique fixpoint, so the emitted lemma SET is
-  // deterministic (emission iterates it in term-id order). Demanding
-  // fewer pairs than the old blind product can only under-approximate
-  // toward Sat, and Sat answers are validated against the original
-  // formula by the model evaluator — failures surface as Unknown, never
-  // as a wrong verdict; the pipeline differential fuzzer and the
-  // e2e-nopipe suite guard exactly this.
-  std::map<const Sort *, std::vector<TermRef>> IndexTerms;
-  {
-    std::set<std::pair<const Sort *, TermRef>> IndexSeen;
-    unsigned NumArrayTerms = 0;
-    for (TermRef T : All) {
-      if (T->getSort()->isArray())
-        ++NumArrayTerms;
-      if (T->getKind() == TermKind::Select ||
-          T->getKind() == TermKind::Store) {
-        TermRef Index = T->getArg(1);
-        const Sort *KeySort = T->getArg(0)->getSort()->getKey();
-        if (IndexSeen.insert({KeySort, Index}).second)
-          IndexTerms[KeySort].push_back(Index);
-      }
-    }
-    if (Stats) {
-      Stats->NumArrayTerms = NumArrayTerms;
-      for (const auto &[S, V] : IndexTerms)
-        Stats->NumIndexTerms += static_cast<unsigned>(V.size());
-    }
-  }
-
-  std::unordered_map<TermRef, std::vector<TermRef>> EqAdj;
-  for (TermRef T : All)
-    if (T->getKind() == TermKind::Eq && T->getArg(0)->getSort()->isArray()) {
-      EqAdj[T->getArg(0)].push_back(T->getArg(1));
-      EqAdj[T->getArg(1)].push_back(T->getArg(0));
-    }
-
-  // Upward demand edges. An array equality pins the VALUE of its sides,
-  // so an index demanded anywhere below a side (on an operand of its
-  // combinator tree) must also be demanded on the enclosing combinators
-  // — `mapAnd(single, S2) == empty` with `x in S2` asserted needs the
-  // mapAnd instantiated at x, although no select reads the mapAnd there.
-  // Restricting the upward flow to the operand closure of equality-atom
-  // sides keeps it from degenerating into the blind product.
-  std::unordered_map<TermRef, std::vector<TermRef>> UpEdges;
-  {
-    std::unordered_set<TermRef> UpSet;
-    std::vector<TermRef> UpWork;
-    auto MarkUp = [&](TermRef T) {
-      if (T->getSort()->isArray() && UpSet.insert(T).second)
-        UpWork.push_back(T);
-    };
-    for (TermRef T : All)
-      if (T->getKind() == TermKind::Eq &&
-          T->getArg(0)->getSort()->isArray()) {
-        MarkUp(T->getArg(0));
-        MarkUp(T->getArg(1));
-      }
-    while (!UpWork.empty()) {
-      TermRef C = UpWork.back();
-      UpWork.pop_back();
-      switch (C->getKind()) {
-      case TermKind::Store:
-      case TermKind::MapOr:
-      case TermKind::MapAnd:
-      case TermKind::MapDiff:
-      case TermKind::PwIte:
-        for (TermRef O : C->getArgs())
-          if (O->getSort()->isArray()) {
-            UpEdges[O].push_back(C);
-            MarkUp(O);
-          }
-        break;
-      default:
-        break;
-      }
-    }
-  }
-
-  std::set<std::pair<TermRef, TermRef>> Need; // (array term, index)
-  std::vector<std::pair<TermRef, TermRef>> NeedWork;
-  auto Demand = [&](TermRef A, TermRef I) {
-    if (!A->getSort()->isArray() || A->getSort()->getKey() != I->getSort())
-      return;
-    if (Need.insert({A, I}).second)
-      NeedWork.push_back({A, I});
-  };
-  for (TermRef T : All)
-    if (T->getKind() == TermKind::Select)
-      Demand(T->getArg(0), T->getArg(1));
-  if (Eager) {
-    // Blind product: every array term is demanded at every index term of
-    // its key sort (the demand closure below then only adds more).
-    for (TermRef T : All) {
-      if (!T->getSort()->isArray())
-        continue;
-      auto It = IndexTerms.find(T->getSort()->getKey());
-      if (It == IndexTerms.end())
-        continue;
-      for (TermRef I : It->second)
-        Demand(T, I);
-    }
-  }
-  while (!NeedWork.empty()) {
-    auto [A, I] = NeedWork.back();
-    NeedWork.pop_back();
-    switch (A->getKind()) {
-    case TermKind::Store:
-      Demand(A->getArg(0), I);
-      break;
-    case TermKind::MapOr:
-    case TermKind::MapAnd:
-    case TermKind::MapDiff:
-      Demand(A->getArg(0), I);
-      Demand(A->getArg(1), I);
-      break;
-    case TermKind::PwIte:
-      Demand(A->getArg(0), I);
-      Demand(A->getArg(1), I);
-      Demand(A->getArg(2), I);
-      break;
-    default:
-      break;
-    }
-    auto AdjIt = EqAdj.find(A);
-    if (AdjIt != EqAdj.end())
-      for (TermRef B : AdjIt->second)
-        Demand(B, I);
-    auto UpIt = UpEdges.find(A);
-    if (UpIt != UpEdges.end())
-      for (TermRef C : UpIt->second)
-        Demand(C, I);
-  }
-
-  // Per-array demanded index lists (term-id order) for the equality step.
-  std::unordered_map<TermRef, std::vector<TermRef>> DemandedIndices;
-  {
-    std::vector<std::pair<TermRef, TermRef>> Ordered(Need.begin(),
-                                                     Need.end());
-    std::sort(Ordered.begin(), Ordered.end(),
-              [](const auto &L, const auto &R) {
-                return std::make_pair(L.first->getId(), L.second->getId()) <
-                       std::make_pair(R.first->getId(), R.second->getId());
-              });
-    for (const auto &[A, I] : Ordered)
-      DemandedIndices[A].push_back(I);
-
-    // Step 3: read-over-composite axioms for every demanded pair.
-    for (const auto &[A, I] : Ordered) {
-      if (!isCompositeArray(A))
-        continue;
-      TermRef SelAI = TM.mkSelect(A, I);
-      switch (A->getKind()) {
-      case TermKind::Store: {
-        TermRef Base = A->getArg(0), J = A->getArg(1), V = A->getArg(2);
-        TermRef Same = TM.mkEq(I, J);
-        Lemmas.push_back(TM.mkImplies(Same, TM.mkEq(SelAI, V)));
-        Lemmas.push_back(
-            TM.mkImplies(TM.mkNot(Same),
-                         TM.mkEq(SelAI, TM.mkSelect(Base, I))));
-        break;
-      }
-      case TermKind::ConstArray:
-        Lemmas.push_back(TM.mkEq(SelAI, A->getArg(0)));
-        break;
-      case TermKind::MapOr:
-        Lemmas.push_back(TM.mkEq(
-            SelAI, TM.mkOr(TM.mkSelect(A->getArg(0), I),
-                           TM.mkSelect(A->getArg(1), I))));
-        break;
-      case TermKind::MapAnd:
-        Lemmas.push_back(TM.mkEq(
-            SelAI, TM.mkAnd(TM.mkSelect(A->getArg(0), I),
-                            TM.mkSelect(A->getArg(1), I))));
-        break;
-      case TermKind::MapDiff:
-        Lemmas.push_back(TM.mkEq(
-            SelAI,
-            TM.mkAnd(TM.mkSelect(A->getArg(0), I),
-                     TM.mkNot(TM.mkSelect(A->getArg(1), I)))));
-        break;
-      case TermKind::PwIte: {
-        TermRef Guard = TM.mkSelect(A->getArg(0), I);
-        Lemmas.push_back(TM.mkImplies(
-            Guard, TM.mkEq(SelAI, TM.mkSelect(A->getArg(1), I))));
-        Lemmas.push_back(TM.mkImplies(
-            TM.mkNot(Guard), TM.mkEq(SelAI, TM.mkSelect(A->getArg(2), I))));
-        break;
-      }
-      default:
-        break;
-      }
-    }
-  }
-
-  // Step 4: read-over-equality. When an array equality atom is asserted,
-  // congruence alone cannot connect `select(A, i)` with the semantics of a
-  // composite right-hand side whose select folds at construction (constant
-  // arrays, store at the same index). Instantiate
-  //     Eq(A,B) => select(A,i) == select(B,i)
-  // for every array-equality atom and the relevant (demanded) indices.
-  // New equalities between nested (set-valued) selects are processed
-  // transitively; the loop terminates because sort nesting is finite.
-  {
-    std::set<TermRef> EqAtoms;
-    std::vector<TermRef> Work;
-    auto ConsiderEq = [&](TermRef T) {
-      if (T->getKind() == TermKind::Eq &&
-          T->getArg(0)->getSort()->isArray() && EqAtoms.insert(T).second)
-        Work.push_back(T);
-    };
-    for (TermRef T : All)
-      ConsiderEq(T);
-    while (!Work.empty()) {
-      TermRef EqT = Work.back();
-      Work.pop_back();
-      TermRef A = EqT->getArg(0), B = EqT->getArg(1);
-      // Only selects that FOLD at construction need this: const arrays
-      // (every index folds) and stores (their own index folds). Selects
-      // over the other combinators materialise as terms, so the merged
-      // equivalence class already carries their constraints.
-      auto Emit = [&](TermRef I) {
-        TermRef SelEq = TM.mkEq(TM.mkSelect(A, I), TM.mkSelect(B, I));
-        if (SelEq == TM.mkTrue())
-          return;
-        Lemmas.push_back(TM.mkImplies(EqT, SelEq));
-        ConsiderEq(SelEq);
-      };
-      bool ConstInvolved = A->getKind() == TermKind::ConstArray ||
-                           B->getKind() == TermKind::ConstArray;
-      if (ConstInvolved) {
-        // Indices demanded on the non-constant side (constant arrays
-        // deliberately carry no demands of their own).
-        TermRef NonConst = A->getKind() == TermKind::ConstArray ? B : A;
-        auto It = DemandedIndices.find(NonConst);
-        if (It != DemandedIndices.end())
-          for (TermRef I : It->second)
-            Emit(I);
-        continue;
-      }
-      for (TermRef Side : {A, B})
-        if (Side->getKind() == TermKind::Store)
-          Emit(Side->getArg(1));
-    }
-  }
-
+  ArrayReducer R(TM, Eager);
+  std::vector<TermRef> Lemmas = R.assertFormula(Formula);
   if (Stats)
-    Stats->NumLemmas = static_cast<unsigned>(Lemmas.size());
+    *Stats = R.stats();
   if (Lemmas.empty())
     return Formula;
   Lemmas.push_back(Formula);
@@ -508,6 +213,13 @@ void ArrayReducer::demand(TermRef A, TermRef I) {
   Work.emplace_back(A, I);
 }
 
+/// An array equality pins the VALUE of its sides, so an index demanded
+/// anywhere below a side (on an operand of its combinator tree) must also
+/// be demanded on the enclosing combinators: `mapAnd(single, S2) ==
+/// empty` with `x in S2` asserted needs the mapAnd instantiated at x,
+/// although no select reads the mapAnd there. Restricting the upward
+/// flow to the operand closure of equality sides keeps it from
+/// degenerating into the blind product.
 void ArrayReducer::markUp(TermRef T) {
   if (!T->getSort()->isArray() || !UpSet.insert(T).second)
     return;
@@ -547,6 +259,8 @@ void ArrayReducer::emitReadOverComposite(TermRef A, TermRef I) {
   switch (A->getKind()) {
   case TermKind::Store: {
     TermRef Base = A->getArg(0), J = A->getArg(1), V = A->getArg(2);
+    if (I == J)
+      break; // SelAI folded to V
     TermRef Same = TM.mkEq(I, J);
     emitLemma(TM.mkImplies(Same, TM.mkEq(SelAI, V)));
     emitLemma(TM.mkImplies(TM.mkNot(Same),
@@ -588,8 +302,10 @@ void ArrayReducer::emitEqLemma(TermRef EqT, TermRef I) {
   if (SelEq == TM.mkTrue())
     return;
   emitLemma(TM.mkImplies(EqT, SelEq));
-  // Equalities between nested (set-valued) selects chain transitively;
-  // sort nesting is finite, so this terminates.
+  // A new equality between nested arrays would also be registered when
+  // the lemma's subterms are ingested; registering it here keeps its own
+  // lemmas next to this one in the emission order, which the budgeted
+  // golden runs are recorded with.
   if (SelEq->getKind() == TermKind::Eq &&
       SelEq->getArg(0)->getSort()->isArray())
     considerEqAtom(SelEq);
@@ -600,9 +316,10 @@ void ArrayReducer::considerEqAtom(TermRef EqT) {
     return;
   TermRef A = EqT->getArg(0), B = EqT->getArg(1);
   // Only selects that FOLD at construction need read-over-equality: const
-  // arrays (every index folds) and stores (their own index folds). Selects
-  // over the other combinators materialise as terms, so the merged
-  // equivalence class already carries their constraints.
+  // arrays (every index folds) and stores (their own index folds, also
+  // against a const array: `{k} == {}`). Selects over the other
+  // combinators materialise as terms, so the merged equivalence class
+  // already carries their constraints.
   bool ConstInvolved = A->getKind() == TermKind::ConstArray ||
                        B->getKind() == TermKind::ConstArray;
   if (ConstInvolved) {
@@ -614,11 +331,18 @@ void ArrayReducer::considerEqAtom(TermRef EqT) {
       for (TermRef I : Existing)
         emitEqLemma(EqT, I);
     }
-    return;
   }
   for (TermRef Side : {A, B})
     if (Side->getKind() == TermKind::Store)
       emitEqLemma(EqT, Side->getArg(1));
+}
+
+void ArrayReducer::acrossEq(TermRef EqT, TermRef From, TermRef I) {
+  demand(EqT->getArg(0) == From ? EqT->getArg(1) : EqT->getArg(0), I);
+  // Reads of equal arrays of arrays are congruent; the read-over-equality
+  // lemma makes that an equality atom, which carries inner demands.
+  if (From->getSort()->getValue()->isArray())
+    emitEqLemma(EqT, I);
 }
 
 void ArrayReducer::processWork() {
@@ -627,7 +351,8 @@ void ArrayReducer::processWork() {
     Work.pop_back();
     switch (A->getKind()) {
     case TermKind::Store:
-      demand(A->getArg(0), I);
+      if (A->getArg(1) != I) // a store read at its own index folds
+        demand(A->getArg(0), I);
       break;
     case TermKind::MapOr:
     case TermKind::MapAnd:
@@ -646,8 +371,8 @@ void ArrayReducer::processWork() {
     // demand() only touches Need, DemandedIndices and Work, so the edge
     // lists can be walked in place.
     if (auto It = EqAdj.find(A); It != EqAdj.end())
-      for (TermRef B : It->second)
-        demand(B, I);
+      for (TermRef EqT : It->second)
+        acrossEq(EqT, A, I);
     if (auto It = UpEdges.find(A); It != UpEdges.end())
       for (TermRef Up : It->second)
         demand(Up, I);
@@ -658,6 +383,38 @@ void ArrayReducer::processWork() {
       for (TermRef EqT : Eqs)
         emitEqLemma(EqT, I);
     }
+  }
+}
+
+void ArrayReducer::ingest(TermRef T) {
+  if (Eager && T->getSort()->isArray())
+    ArrayTerms.push_back(T);
+  if (T->getKind() == TermKind::Select || T->getKind() == TermKind::Store) {
+    TermRef Index = T->getArg(1);
+    const Sort *KeySort = T->getArg(0)->getSort()->getKey();
+    if (Eager && IndexSeen.insert({KeySort, Index}).second)
+      IndexTerms[KeySort].push_back(Index);
+    // A select demands its base at its index. A store is read at its own
+    // index too, by the select that folds to its value: the arrays above
+    // it (and across its equalities) must be instantiated there.
+    demand(T->getKind() == TermKind::Select ? T->getArg(0) : T, Index);
+  }
+  if (T->getKind() == TermKind::Eq && T->getArg(0)->getSort()->isArray()) {
+    TermRef A = T->getArg(0), B = T->getArg(1);
+    EqAdj[A].push_back(T);
+    EqAdj[B].push_back(T);
+    // A new equality edge carries existing demands across.
+    for (TermRef Side : {A, B}) {
+      auto It = DemandedIndices.find(Side);
+      if (It != DemandedIndices.end()) {
+        std::vector<TermRef> Idx = It->second;
+        for (TermRef I : Idx)
+          acrossEq(T, Side, I);
+      }
+    }
+    markUp(A);
+    markUp(B);
+    considerEqAtom(T);
   }
 }
 
@@ -689,37 +446,23 @@ std::vector<TermRef> ArrayReducer::assertFormula(TermRef F) {
     }
   }
 
-  for (TermRef T : Inputs) {
-    const Sort *S = T->getSort();
-    if (S->isArray())
-      ++Stats.NumArrayTerms;
-    if (T->getKind() == TermKind::Select || T->getKind() == TermKind::Store) {
-      TermRef Index = T->getArg(1);
-      const Sort *KeySort = T->getArg(0)->getSort()->getKey();
-      if (IndexSeen.insert({KeySort, Index}).second)
-        ++Stats.NumIndexTerms;
+  // A lemma's subterms feed the closure like input terms: an equality
+  // between nested arrays that a read-over-write lemma introduces carries
+  // demands across just as an asserted one does.
+  for (size_t Done = 0; !Inputs.empty();) {
+    for (TermRef T : Inputs)
+      ingest(T);
+    if (Eager && Done == 0) {
+      // The blind product over the formula's own terms: every array term
+      // demanded at every index term of its key sort.
+      for (TermRef A : ArrayTerms)
+        for (TermRef I : IndexTerms[A->getSort()->getKey()])
+          demand(A, I);
     }
-    if (T->getKind() == TermKind::Select)
-      demand(T->getArg(0), T->getArg(1));
-    if (T->getKind() == TermKind::Eq && T->getArg(0)->getSort()->isArray()) {
-      TermRef A = T->getArg(0), B = T->getArg(1);
-      EqAdj[A].push_back(B);
-      EqAdj[B].push_back(A);
-      // A new equality edge carries existing demands across.
-      for (TermRef Side : {A, B}) {
-        TermRef Other = Side == A ? B : A;
-        auto It = DemandedIndices.find(Side);
-        if (It != DemandedIndices.end()) {
-          std::vector<TermRef> Idx = It->second;
-          for (TermRef I : Idx)
-            demand(Other, I);
-        }
-      }
-      markUp(A);
-      markUp(B);
-      considerEqAtom(T);
-    }
+    processWork();
+    Inputs.clear();
+    for (; Done < NewLemmas.size(); ++Done)
+      collectNewSubterms(NewLemmas[Done], Inputs);
   }
-  processWork();
   return std::move(NewLemmas);
 }

@@ -32,22 +32,16 @@ namespace ids {
 namespace smt {
 
 struct ArrayReductionStats {
-  unsigned NumIndexTerms = 0;
-  unsigned NumArrayTerms = 0;
   unsigned NumLemmas = 0;
   unsigned NumWitnesses = 0;
 };
 
-/// Returns \p Formula conjoined with the reduction lemmas. \p Formula must
-/// be ite-lifted (no non-boolean ite nodes) and quantifier-free.
-///
-/// By default instantiation is relevancy-driven: axioms are emitted only
-/// for (array, index) pairs demanded by an actual select, closed under
-/// structural peeling and equality congruence. \p Eager restores the
-/// blind composite-times-every-same-sort-index product — quadratically
-/// larger, but it forces the model builder's extensional array values
-/// consistent everywhere, which decides a few query shapes the demanded
-/// set alone leaves Unknown (the solver escalates to it on demand).
+/// Returns \p Formula conjoined with the reduction lemmas (one
+/// ArrayReducer over the whole formula). \p Formula must be ite-lifted (no
+/// non-boolean ite nodes) and quantifier-free. \p Eager adds the blind
+/// composite-times-every-same-sort-index product: quadratically larger,
+/// kept as the reference the fuzz differentials compare the demand
+/// closure against.
 TermRef reduceArrays(TermManager &TM, TermRef Formula,
                      ArrayReductionStats *Stats = nullptr,
                      bool Eager = false);
@@ -56,23 +50,23 @@ TermRef reduceArrays(TermManager &TM, TermRef Formula,
 /// by `(cond => v = then) && (!cond => v = else)` hoisted to the top level.
 TermRef liftItes(TermManager &TM, TermRef Formula);
 
-/// Incremental variant of reduceArrays for the SolverContext: the demand
-/// closure (selects seed demands; demands peel through store/combinator
-/// structure, flow across array-equality atoms and up through the operand
-/// closure of equality sides) is maintained across assertFormula calls,
-/// so each call returns only the lemmas its formula adds to the closure of
-/// everything asserted before it. Nothing is ever retracted.
-///
-/// Produces the same lemma SET as the one-shot reduceArrays for the same
-/// total assertion set (the closure rules are monotone, so incremental
-/// evaluation reaches the same fixpoint); only the emission order differs.
-/// Every lemma of the closure is returned up front: its size depends only
-/// on the asserted VC, never on the search. The one-shot path is kept
-/// intact as the `--no-incremental` differential baseline and for the
-/// blind-product escalation.
+/// The demand closure behind both solver drivers. Selects seed demands,
+/// and so does every store at its own index (the select that folds to its
+/// value); demands peel through store/combinator structure, flow across
+/// array-equality atoms and up through the operand closure of equality
+/// sides. A lemma's subterms feed the closure like input terms, so an
+/// equality between nested arrays that a lemma introduces carries
+/// demands too. The closure is maintained across assertFormula calls: each
+/// call returns only the lemmas its formula adds to the closure of
+/// everything asserted before it. Nothing is ever retracted. The closure
+/// rules are monotone, so the lemma SET does not depend on how the
+/// assertions are split; only the emission order does. Every lemma is
+/// returned up front: its size depends only on the asserted VC, never on
+/// the search.
 class ArrayReducer {
 public:
-  explicit ArrayReducer(TermManager &TM) : TM(TM) {}
+  explicit ArrayReducer(TermManager &TM, bool Eager = false)
+      : TM(TM), Eager(Eager) {}
 
   /// Ingests an (ite-lifted, quantifier-free) assertion and returns the
   /// reduction lemmas newly required by it, given everything asserted so
@@ -92,19 +86,28 @@ private:
   };
 
   void collectNewSubterms(TermRef T, std::vector<TermRef> &Out);
+  /// Adds one new term to the closure: its demands and equality edges.
+  void ingest(TermRef T);
   void demand(TermRef A, TermRef I);
   void markUp(TermRef T);
   void considerEqAtom(TermRef EqT);
+  /// Carries a demand at \p I on \p From across the equality \p EqT.
+  void acrossEq(TermRef EqT, TermRef From, TermRef I);
   void emitReadOverComposite(TermRef A, TermRef I);
   void emitEqLemma(TermRef EqT, TermRef I);
   void emitLemma(TermRef L);
   void processWork();
 
   TermManager &TM;
+  const bool Eager;
   ArrayReductionStats Stats;
 
   std::unordered_set<TermRef> KnownTerms;
+  /// The blind product's operands (Eager only), in ingestion order.
+  std::vector<TermRef> ArrayTerms;
   std::unordered_set<std::pair<const Sort *, TermRef>, PairHash> IndexSeen;
+  std::unordered_map<const Sort *, std::vector<TermRef>> IndexTerms;
+  /// Array-equality atoms by side.
   std::unordered_map<TermRef, std::vector<TermRef>> EqAdj;
   std::unordered_map<TermRef, std::vector<TermRef>> UpEdges;
   std::unordered_set<TermRef> UpSet;

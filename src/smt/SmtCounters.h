@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The smt.* registry cells, resolved once per process and shared by
-/// both checkSat paths (one-shot Solver and SolverContext). Each check
-/// adds its own counts: a SolverContext is checked once, so its SatSolver
-/// and SolverStats totals are the check's counts.
+/// The smt.* registry cells, resolved once per process. Both solver
+/// drivers add a check through SolverCore::recordCheck: a Solver or
+/// SolverContext is checked once, so its SatSolver and SolverStats totals
+/// are the check's counts.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,6 @@
 #include "smt/Solver.h"
 
 #include "smt/QuantInst.h"
-#include "smt/SmtCounters.h"
 #include "support/Log.h"
 
 #include <chrono>
@@ -18,26 +17,20 @@ using namespace ids;
 using namespace ids::smt;
 
 Solver::Result Solver::checkSat(TermRef Formula) {
-  SmtCounters &TC = smtCounters();
-  TC.CheckSats.add();
-  uint64_t DecisionsBefore = Core.Sat.numDecisions();
-  uint64_t ConflictsBefore = Core.Sat.numConflicts();
-  uint64_t TConflictsBefore = Core.Sat.numTheoryConflicts();
-  uint64_t ChecksBefore = Core.St.TheoryChecks;
-  uint64_t PropsBefore = Core.St.EqualitiesPropagated;
-  uint64_t RepairsBefore = Core.St.ModelRepairs;
-  uint64_t GiveUpsBefore = Core.St.ModelGiveUps;
-  uint64_t DeletedBefore = Core.Sat.numLemmasDeleted();
-  uint64_t SweepsBefore = Core.Sat.numReduceDbSweeps();
-  uint64_t RestartsBefore = Core.Sat.numRestarts();
-  unsigned ArrayLemmasBefore = Core.St.ArrayStats.NumLemmas;
+  assert(!Core.EvalFormula && "a Solver is checked once");
+  Result R = solve(Formula);
+  Core.recordCheck();
+  return R;
+}
+
+Solver::Result Solver::solve(TermRef Formula) {
   Core.Sat.setClauseDeletion(Core.Opts.ClauseDeletion);
   if (Core.Opts.ReduceDbLimit)
     Core.Sat.setReduceDbLimit(Core.Opts.ReduceDbLimit);
   TermManager &TM = Core.TM;
-  bool HadQuantifiers = TM.containsQuantifier(Formula);
+  // A Sat answer is only as good as the instantiation behind it.
   bool CompleteInst = true;
-  if (HadQuantifiers) {
+  if (TM.containsQuantifier(Formula)) {
     assert(Core.Opts.AllowQuantifiers &&
            "quantifier encountered in quantifier-free mode");
     QuantInstResult QR = instantiateQuantifiers(
@@ -46,13 +39,19 @@ Solver::Result Solver::checkSat(TermRef Formula) {
     CompleteInst = QR.Complete;
     Core.St.Instantiations = QR.NumInstantiations;
   }
+  auto SatUnlessIncomplete = [&] {
+    if (CompleteInst)
+      return Result::Sat;
+    Core.giveUp(UnknownReason::Instantiation);
+    return Result::Unknown;
+  };
   TermRef Lifted = liftItes(TM, Formula);
   Core.EvalFormula = Lifted; // lifted vars are assigned by the model builder
   TermRef Reduced = reduceArrays(TM, Lifted, &Core.St.ArrayStats,
                                  Core.Opts.EagerArrayInstantiation);
 
   if (Reduced == TM.mkTrue())
-    return HadQuantifiers && !CompleteInst ? Result::Unknown : Result::Sat;
+    return SatUnlessIncomplete();
   if (Reduced == TM.mkFalse())
     return Result::Unsat;
 
@@ -74,24 +73,9 @@ Solver::Result Solver::checkSat(TermRef Formula) {
   Core.St.SatConflicts = Core.Sat.numConflicts();
   Core.St.SatDecisions = Core.Sat.numDecisions();
   Core.St.TheoryConflicts = Core.Sat.numTheoryConflicts();
-  TC.Decisions.add(Core.Sat.numDecisions() - DecisionsBefore);
-  TC.Conflicts.add(Core.Sat.numConflicts() - ConflictsBefore);
-  TC.TheoryConflicts.add(Core.Sat.numTheoryConflicts() - TConflictsBefore);
-  TC.TheoryChecks.add(Core.St.TheoryChecks - ChecksBefore);
-  TC.Propagations.add(Core.St.EqualitiesPropagated - PropsBefore);
-  TC.ModelRepairs.add(Core.St.ModelRepairs - RepairsBefore);
-  TC.ModelGiveUps.add(Core.St.ModelGiveUps - GiveUpsBefore);
-  TC.ArrayLemmas.add(Core.St.ArrayStats.NumLemmas - ArrayLemmasBefore);
-  TC.Instantiations.add(Core.St.Instantiations);
-  TC.MaxAtoms.recordMax(Core.St.NumAtoms);
-  TC.LemmasDeleted.add(Core.Sat.numLemmasDeleted() - DeletedBefore);
-  TC.ReduceDbSweeps.add(Core.Sat.numReduceDbSweeps() - SweepsBefore);
-  TC.Restarts.add(Core.Sat.numRestarts() - RestartsBefore);
-  if (Core.BudgetExhausted)
+  if (Core.gaveUp())
     return Result::Unknown;
   if (R == sat::SatSolver::Result::Unsat)
     return Result::Unsat;
-  if (HadQuantifiers && !CompleteInst)
-    return Result::Unknown;
-  return Result::Sat;
+  return SatUnlessIncomplete();
 }

@@ -23,8 +23,8 @@
 ///
 /// For the per-query context the VC pipeline uses by default (persistent
 /// theory engines with DPLL(T) propagation) see SolverContext.h; this
-/// class remains the one-shot reference solver that `--no-incremental`,
-/// the quantified encoding and the model give-up escalation use.
+/// class remains the one-shot reference solver that `--no-incremental`
+/// and the quantified encoding use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +46,7 @@ public:
   explicit Solver(TermManager &TM, Options O) : Core(TM, std::move(O)) {}
   explicit Solver(TermManager &TM) : Solver(TM, Options()) {}
 
-  /// Decides satisfiability of \p Formula. One shot per Solver instance.
+  /// Decides satisfiability of \p Formula. At most once per Solver.
   Result checkSat(TermRef Formula);
 
   /// The model after a Sat result.
@@ -54,6 +54,8 @@ public:
   const Stats &stats() const { return Core.St; }
 
 private:
+  Result solve(TermRef Formula);
+
   SolverCore Core;
 };
 

@@ -6,7 +6,6 @@
 
 #include "smt/SolverContext.h"
 
-#include "smt/SmtCounters.h"
 #include "support/Log.h"
 
 #include <chrono>
@@ -21,7 +20,7 @@ SolverContext::SolverContext(TermManager &TM, SolverOptions O)
   assert(!Core.Opts.AllowQuantifiers &&
          "SolverContext is quantifier-free only");
   assert(!Core.Opts.EagerArrayInstantiation &&
-         "the blind array product is a one-shot escalation only");
+         "the blind array product is a one-shot reference only");
   Core.Sat.setClauseDeletion(Core.Opts.ClauseDeletion);
   Core.Sat.setTheoryPropagation(Core.Opts.TheoryPropagation);
   if (Core.Opts.ReduceDbLimit)
@@ -46,7 +45,6 @@ void SolverContext::assertTerm(TermRef F) {
   // under --no-theory-prop): term graph and watches land at the base of
   // the theory trails.
   Engine.preRegister(Encoded);
-  flushAssertCounters();
 }
 
 void SolverContext::addClauses(TermRef F) {
@@ -63,15 +61,6 @@ void SolverContext::addClauses(TermRef F) {
     return;
   }
   Core.Sat.addClause({Core.litFor(F)});
-}
-
-void SolverContext::flushAssertCounters() {
-  SmtCounters &TC = smtCounters();
-  TC.CcRegistrationsReused.add(Core.St.CcRegistrationsReused -
-                               CcReusedFlushed);
-  CcReusedFlushed = Core.St.CcRegistrationsReused;
-  TC.ArrayLemmas.add(Reducer.stats().NumLemmas - ArrayLemmasFlushed);
-  ArrayLemmasFlushed = Reducer.stats().NumLemmas;
 }
 
 SolverContext::Result SolverContext::checkSat() {
@@ -100,7 +89,7 @@ SolverContext::Result SolverContext::checkSat() {
     Core.St.SatConflicts = Core.Sat.numConflicts();
     Core.St.SatDecisions = Core.Sat.numDecisions();
     Core.St.TheoryConflicts = Core.Sat.numTheoryConflicts();
-    if (Core.BudgetExhausted)
+    if (Core.gaveUp())
       R = Result::Unknown;
     else
       R = SR == sat::SatSolver::Result::Unsat ? Result::Unsat : Result::Sat;
@@ -108,22 +97,6 @@ SolverContext::Result SolverContext::checkSat() {
   Core.St.NumAtoms = static_cast<unsigned>(Core.Atoms.size());
   Core.St.ArrayStats = Reducer.stats();
 
-  // One check per context: its totals are the check's deltas.
-  SmtCounters &TC = smtCounters();
-  TC.CheckSats.add();
-  TC.Decisions.add(Core.Sat.numDecisions());
-  TC.Conflicts.add(Core.Sat.numConflicts());
-  TC.TheoryConflicts.add(Core.Sat.numTheoryConflicts());
-  TC.TheoryChecks.add(Core.St.TheoryChecks);
-  TC.Propagations.add(Core.St.EqualitiesPropagated);
-  TC.ModelRepairs.add(Core.St.ModelRepairs);
-  TC.ModelGiveUps.add(Core.St.ModelGiveUps);
-  TC.AssertsReused.add(Core.St.TheoryAssertsReused);
-  TC.MaxAtoms.recordMax(Core.St.NumAtoms);
-  TC.LemmasDeleted.add(Core.Sat.numLemmasDeleted());
-  TC.ReduceDbSweeps.add(Core.Sat.numReduceDbSweeps());
-  TC.Restarts.add(Core.Sat.numRestarts());
-  TC.TheoryPropagations.add(Core.Sat.numTheoryPropagations());
-  TC.PropagationConflicts.add(Core.Sat.numTheoryPropConflicts());
+  Core.recordCheck();
   return R;
 }

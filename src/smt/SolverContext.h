@@ -68,11 +68,6 @@ private:
   /// Lifted forms of the assertions (for the model-evaluation safety net:
   /// a candidate model must satisfy every assertion).
   std::vector<TermRef> Asserted;
-  /// Registration reuse and array lemmas already folded into the metrics
-  /// registry: both accrue in assertTerm, which flushes the deltas.
-  uint64_t CcReusedFlushed = 0;
-  unsigned ArrayLemmasFlushed = 0;
-  void flushAssertCounters();
   /// Adds the asserted formula \p F to the SAT core: a top-level
   /// conjunction splits into its conjuncts and a top-level disjunction
   /// becomes one clause, so neither needs a Tseitin variable.

@@ -22,6 +22,19 @@ namespace smt {
 
 enum class SolverResult { Sat, Unsat, Unknown };
 
+/// Why a check answered Unknown.
+enum class UnknownReason : uint8_t {
+  None,
+  Budget,          ///< the theory-check budget ran out
+  Timeout,         ///< the wall-clock budget ran out
+  ArithUndecided,  ///< branch and bound hit its depth limit
+  ModelIncomplete, ///< model construction found no witness
+  Instantiation,   ///< quantifier instantiation was incomplete
+};
+
+/// The reason as the obligation report prints it.
+const char *describe(UnknownReason R);
+
 struct SolverOptions {
   /// Permit Forall terms and run ground instantiation first (the
   /// "Dafny-style" encoding of RQ3). Off by default: QF-mode asserts
@@ -39,10 +52,9 @@ struct SolverOptions {
   uint64_t MaxTheoryChecks = 0;
   /// Wall-clock budget per checkSat call in seconds (0 = unlimited).
   double TimeoutSeconds = 0;
-  /// One-shot Solver only: use the blind (quadratic) array instantiation
-  /// instead of the relevancy-driven one. The VC pipeline escalates to
-  /// this when the relevancy-driven attempt gives up on model
-  /// construction. A SolverContext always asserts the demand closure.
+  /// One-shot Solver only: add the blind (quadratic) array product to
+  /// the demand closure. The fuzz differentials use it as their
+  /// reference; a SolverContext always asserts the demand closure alone.
   bool EagerArrayInstantiation = false;
   /// Activity-based deletion of cold learned clauses (reduceDB) in the
   /// SAT core. On by default; --no-reduce-db is the differential
@@ -72,6 +84,8 @@ struct SolverStats {
   /// no sound explanation clause available. Formerly these emitted an
   /// unjustified blocking clause, which could manufacture a wrong Unsat.
   uint64_t ModelGiveUps = 0;
+  /// Set by the first give-up; the check then answers Unknown.
+  UnknownReason Why = UnknownReason::None;
   uint64_t Instantiations = 0;
   unsigned NumAtoms = 0;
   /// SolverContext counter: atom assertions skipped because the

@@ -6,13 +6,17 @@
 
 #include "smt/TheoryEngine.h"
 
-#include "smt/TermPrinter.h"
+#include "smt/SmtCounters.h"
 #include "support/Log.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
+#include <numeric>
+#include <optional>
 
 using namespace ids;
 using namespace ids::smt;
@@ -34,6 +38,46 @@ bool isBoolStructure(TermRef T) {
   }
 }
 } // namespace
+
+const char *smt::describe(UnknownReason R) {
+  switch (R) {
+  case UnknownReason::None:
+    break;
+  case UnknownReason::Budget:
+    return "solver resource budget exhausted";
+  case UnknownReason::Timeout:
+    return "solver time limit reached";
+  case UnknownReason::ArithUndecided:
+    return "arithmetic branch and bound undecided";
+  case UnknownReason::ModelIncomplete:
+    return "model construction incomplete";
+  case UnknownReason::Instantiation:
+    return "quantified encoding: instantiation was incomplete";
+  }
+  return "undecided";
+}
+
+void SolverCore::recordCheck() const {
+  SmtCounters &TC = smtCounters();
+  TC.CheckSats.add();
+  TC.Decisions.add(Sat.numDecisions());
+  TC.Conflicts.add(Sat.numConflicts());
+  TC.TheoryConflicts.add(Sat.numTheoryConflicts());
+  TC.TheoryChecks.add(St.TheoryChecks);
+  TC.Propagations.add(St.EqualitiesPropagated);
+  TC.ModelRepairs.add(St.ModelRepairs);
+  TC.ModelGiveUps.add(St.ModelGiveUps);
+  TC.Instantiations.add(St.Instantiations);
+  TC.ArrayLemmas.add(St.ArrayStats.NumLemmas);
+  TC.AssertsReused.add(St.TheoryAssertsReused);
+  TC.CcRegistrationsReused.add(St.CcRegistrationsReused);
+  TC.MaxAtoms.recordMax(St.NumAtoms);
+  TC.LemmasDeleted.add(Sat.numLemmasDeleted());
+  TC.ReduceDbSweeps.add(Sat.numReduceDbSweeps());
+  TC.Restarts.add(Sat.numRestarts());
+  TC.TheoryPropagations.add(Sat.numTheoryPropagations());
+  TC.PropagationConflicts.add(Sat.numTheoryPropConflicts());
+}
 
 sat::Lit SolverCore::litFor(TermRef T) {
   if (T->getKind() == TermKind::Not)
@@ -116,6 +160,9 @@ namespace ids::smt {
 /// a learned clause; conflict cores containing it must not become theory
 /// lemmas (the separation is not an input constraint).
 constexpr int SeparationTag = -7;
+/// Tag for the definition `v = p` of a composite index's variable. It
+/// holds in every model, so dropping it from an explanation is sound.
+constexpr int DefinitionTag = -8;
 } // namespace ids::smt
 
 TheoryEngine::TheoryEngine(SolverCore &C, bool Persistent)
@@ -310,6 +357,10 @@ bool TheoryEngine::assertOneAtom(int AtomIdx,
 bool TheoryEngine::equalityFixpoint(std::vector<sat::Lit> &ConflictOut) {
   for (;;) {
     bool Changed = false;
+    // Only terms feeding congruence (select/store indices, apply args)
+    // matter for the exchange; probing every numeric term is quadratic
+    // noise. Their definitions must be in place before the check below.
+    computeInterfaceTerms();
     // CC -> arithmetic: equalities between opaque numeric terms. Classes
     // are keyed by the representative's term id, not its address, so the
     // assertion order (and with it the search) is the same in every run.
@@ -345,7 +396,7 @@ bool TheoryEngine::equalityFixpoint(std::vector<sat::Lit> &ConflictOut) {
         // no theory model when only our separation was at fault. Give up
         // on this query explicitly.
         ++C.St.ModelGiveUps;
-        C.BudgetExhausted = true;
+        C.giveUp(UnknownReason::ModelIncomplete);
         return true;
       }
       clauseFromTags(Core, ConflictOut);
@@ -354,14 +405,11 @@ bool TheoryEngine::equalityFixpoint(std::vector<sat::Lit> &ConflictOut) {
     if (AR == ArithSolver::Result::Unknown) {
       // Branch-and-bound budget exhausted: stop the search and let
       // checkSat() report Unknown rather than loop on an undecided check.
-      C.BudgetExhausted = true;
+      C.giveUp(UnknownReason::ArithUndecided);
       return true;
     }
-    // Arithmetic -> CC: probe forced equalities among model-equal opaques.
-    // Only terms feeding congruence (select/store indices, apply args)
-    // matter for the exchange; probing every numeric term is quadratic
-    // noise.
-    computeInterfaceTerms();
+    // Arithmetic -> CC: probe forced equalities among model-equal
+    // interface terms.
     std::map<std::pair<const Sort *, Rational>, std::vector<TermRef>>
         Buckets;
     for (TermRef T : OpaqueNumeric)
@@ -405,7 +453,7 @@ bool TheoryEngine::equalityFixpoint(std::vector<sat::Lit> &ConflictOut) {
           if (ProbeUnknown) {
             // Undecided probe: a missed forced equality can cascade
             // into a bogus blocking clause, so give up explicitly.
-            C.BudgetExhausted = true;
+            C.giveUp(UnknownReason::ArithUndecided);
             return true;
           }
           // Split on the separating model; X and Y land in different
@@ -446,30 +494,32 @@ bool TheoryEngine::equalityFixpoint(std::vector<sat::Lit> &ConflictOut) {
 
 void TheoryEngine::computeInterfaceTerms() {
   InterfaceTerms.clear();
-  ConstIndexValues.clear();
+  // Interface terms must exist as arithmetic variables even when no atom
+  // mentions them directly (a nested index like `a[a[x]]`'s inner
+  // select): the model builder keys array entries by their values, and
+  // the equality exchange and collision repair only see terms the simplex
+  // knows. A constant or composite index (3, x + 1) gets a variable of its
+  // own, defined equal to its polynomial.
   auto Consider = [&](TermRef A) {
     if (!A->getSort()->isNumeric())
       return;
-    if (A->getKind() == TermKind::IntConst)
-      ConstIndexValues.emplace(
-          std::make_pair(A->getSort(), Rational(A->getIntValue())), A);
-    else if (A->getKind() == TermKind::RatConst)
-      ConstIndexValues.emplace(std::make_pair(A->getSort(), A->getRatValue()),
-                               A);
-    else {
-      // Interface terms must exist as arithmetic opaques even when no
-      // atom mentions them directly (a nested index like `a[a[x]]`'s
-      // inner select): the model builder keys array entries by their
-      // values, and collision repair can only separate terms the
-      // simplex knows. Composite linear indices (x + 1) stay composite,
-      // but their opaque leaves get variables so separation can reach
-      // them.
-      if (A->getKind() == TermKind::Add || A->getKind() == TermKind::Mul)
-        (void)polyOf(A);
-      else
-        arithVarFor(A);
-      InterfaceTerms.insert(A);
+    if (!ArithVars.count(A)) {
+      int V = arithVarFor(A);
+      switch (A->getKind()) {
+      case TermKind::IntConst:
+      case TermKind::RatConst:
+      case TermKind::Add:
+      case TermKind::Mul: {
+        LinTerm P = polyOf(A);
+        P.add(V, Rational(-1));
+        Arith->assertAtom(P, ArithSolver::Op::Eq, DefinitionTag);
+        break;
+      }
+      default:
+        break;
+      }
     }
+    InterfaceTerms.insert(A);
   };
   for (TermRef T : CC->terms()) {
     switch (T->getKind()) {
@@ -548,62 +598,215 @@ Value TheoryEngine::valueOfTerm(TermRef T) {
     V = Value::ofLoc(Id);
   } else {
     assert(S_->isArray());
-    TermRef Root = CC->isRegistered(T) ? CC->representative(T) : T;
-    V = buildClassArray(Root);
+    V = Model::defaultFor(S_);
+    if (CC->isRegistered(T)) {
+      if (!ArraySorts[S_].Solved)
+        solveArraySort(S_);
+      auto AIt = ClassArrays.find(CC->representative(T));
+      if (AIt != ClassArrays.end())
+        V = AIt->second;
+    }
   }
   TermValues.emplace(T, V);
   return V;
 }
 
-Value TheoryEngine::buildClassArray(TermRef Root) {
-  auto It = ClassArrays.find(Root);
-  if (It != ClassArrays.end())
+/// Builds the value of every class of array sort \p S at once, after
+/// de Moura and Bjorner's model construction for the generalized array
+/// fragment (FMCAD 2009). An array value is fixed at each index value a
+/// live select or store of this sort uses, plus a default: its value at
+/// an index equal to none of them (the "fresh" index). At each such index
+/// the classes fall into groups that must agree there: a store(b, i, v)
+/// class agrees with b's class everywhere except at i, so the two share
+/// their default and their entries flow both ways. A group's value at an
+/// index is that of a select there on one of its classes, the v of a
+/// store there, a constant array's value, or a pointwise map over its
+/// operands' groups; a group with none of these takes its default.
+void TheoryEngine::solveArraySort(const Sort *S) {
+  ArraySortModel &AS = ArraySorts[S];
+  AS.Solved = true;
+  const size_t N = AS.Roots.size();
+  auto ClassOf = [&](TermRef T) {
+    return ClassIdx.at(CC->representative(T));
+  };
+  std::map<Value, unsigned> XIdx;
+  std::vector<Value> XVals;
+  auto IndexOf = [&](TermRef I) {
+    Value V = valueOfTerm(I);
+    auto [It, New] = XIdx.emplace(V, static_cast<unsigned>(XVals.size()));
+    if (New)
+      XVals.push_back(std::move(V));
     return It->second;
-  if (!SelectsIndexValid) {
-    // One scan indexes every select under its base's class; the per-class
-    // builds below then touch only their own entries.
-    SelectsByRoot.clear();
-    for (TermRef T : CC->terms()) {
-      if (T->getKind() != TermKind::Select)
-        continue;
-      TermRef Base = T->getArg(0);
-      TermRef BRoot = CC->isRegistered(Base) ? CC->representative(Base) : Base;
-      SelectsByRoot[BRoot].push_back(T);
+  };
+  struct Def {
+    unsigned X;
+    int Cls;
+    TermRef Val;
+  };
+  struct Link {
+    int Store, Base;
+    unsigned X;
+  };
+  std::vector<Def> Defs;
+  std::vector<Link> Links;
+  std::vector<std::pair<int, TermRef>> Consts, Maps;
+  for (TermRef T : AS.Selects)
+    Defs.push_back({IndexOf(T->getArg(1)), ClassOf(T->getArg(0)), T});
+  for (TermRef T : AS.Structured) {
+    int K = ClassOf(T);
+    if (T->getKind() == TermKind::Store) {
+      unsigned X = IndexOf(T->getArg(1));
+      Defs.push_back({X, K, T->getArg(2)});
+      Links.push_back({K, ClassOf(T->getArg(0)), X});
+    } else if (T->getKind() == TermKind::ConstArray) {
+      Consts.push_back({K, T});
+    } else {
+      Maps.push_back({K, T});
     }
-    SelectsIndexValid = true;
   }
-  auto Arr = std::make_shared<ArrayValue>();
-  Arr->Default = Model::defaultFor(Root->getSort()->getValue());
-  // Pre-insert to break recursion on (impossible, but safe) cycles.
-  ClassArrays.emplace(Root, Value::ofArray(Arr));
-  auto SIt = SelectsByRoot.find(Root);
-  if (SIt != SelectsByRoot.end()) {
-    for (TermRef T : SIt->second) {
-      Value Key = valueOfTerm(T->getArg(1));
-      Value Val = valueOfTerm(T);
-      auto EIt = Arr->Entries.find(Key);
-      if (EIt != Arr->Entries.end())
-        continue; // colliding entry; separateCollisions recomputes the pairs
+  const unsigned Fresh = static_cast<unsigned>(XVals.size());
+  std::vector<std::vector<size_t>> DefsAt(Fresh);
+  for (size_t D = 0; D < Defs.size(); ++D)
+    DefsAt[Defs[D].X].push_back(D);
 
-      if (!(Val == Arr->Default))
-        Arr->Entries.emplace(std::move(Key), std::move(Val));
+  std::vector<Value> Dflt(N);
+  std::vector<std::map<Value, Value>> Entries(N);
+  std::vector<int> Parent(N);
+  std::vector<std::optional<Value>> GroupVal(N);
+  std::vector<char> Busy(N);
+  std::vector<std::vector<TermRef>> MapsOf(N);
+  auto Find = [&](int K) {
+    while (Parent[K] != K)
+      K = Parent[K] = Parent[Parent[K]];
+    return K;
+  };
+  // The fresh index first: every other index falls back to the defaults.
+  for (unsigned Step = 0; Step <= Fresh; ++Step) {
+    const unsigned X = Step == 0 ? Fresh : Step - 1;
+    std::iota(Parent.begin(), Parent.end(), 0);
+    for (const Link &L : Links)
+      if (L.X != X)
+        Parent[Find(L.Store)] = Find(L.Base);
+    GroupVal.assign(N, std::nullopt);
+    Busy.assign(N, 0);
+    for (std::vector<TermRef> &Ms : MapsOf)
+      Ms.clear();
+    if (X != Fresh)
+      for (size_t D : DefsAt[X]) {
+        int G = Find(Defs[D].Cls);
+        if (!GroupVal[G])
+          GroupVal[G] = valueOfTerm(Defs[D].Val);
+      }
+    for (const auto &[K, T] : Consts) {
+      int G = Find(K);
+      if (!GroupVal[G])
+        GroupVal[G] = valueOfTerm(T->getArg(0));
+    }
+    for (const auto &[K, T] : Maps)
+      MapsOf[Find(K)].push_back(T);
+    std::function<Value(int)> Eval = [&](int G) -> Value {
+      if (GroupVal[G])
+        return *GroupVal[G];
+      Value V = X == Fresh ? Model::defaultFor(S->getValue()) : Dflt[G];
+      if (Busy[G] || MapsOf[G].empty())
+        return V;
+      Busy[G] = 1;
+      TermRef M = MapsOf[G].front();
+      // An operand of another sort (a pwIte guard) is solved on its own.
+      auto At = [&](unsigned Arg) {
+        TermRef Op = M->getArg(Arg);
+        if (Op->getSort() == S)
+          return Eval(Find(ClassOf(Op)));
+        Value OV = valueOfTerm(Op);
+        if (X == Fresh)
+          return OV.Arr->Default;
+        auto It = OV.Arr->Entries.find(XVals[X]);
+        return It != OV.Arr->Entries.end() ? It->second : OV.Arr->Default;
+      };
+      switch (M->getKind()) {
+      case TermKind::MapOr:
+        V = Value::ofBool(At(0).B || At(1).B);
+        break;
+      case TermKind::MapAnd:
+        V = Value::ofBool(At(0).B && At(1).B);
+        break;
+      case TermKind::MapDiff:
+        V = Value::ofBool(At(0).B && !At(1).B);
+        break;
+      default: // PwIte
+        V = At(0).B ? At(1) : At(2);
+        break;
+      }
+      GroupVal[G] = V;
+      return V;
+    };
+    for (size_t K = 0; K < N; ++K) {
+      Value V = Eval(Find(static_cast<int>(K)));
+      if (X == Fresh)
+        Dflt[K] = std::move(V);
+      else if (V != Dflt[K])
+        Entries[K].emplace(XVals[X], std::move(V));
     }
   }
-  Value Result = Value::ofArray(Arr);
-  ClassArrays[Root] = Result;
-  return Result;
+  for (size_t K = 0; K < N; ++K) {
+    auto Arr = std::make_shared<ArrayValue>();
+    Arr->Default = std::move(Dflt[K]);
+    Arr->Entries = std::move(Entries[K]);
+    ClassArrays[AS.Roots[K]] = Value::ofArray(std::move(Arr));
+  }
 }
 
 void TheoryEngine::buildModel() {
   TermValues.clear();
   ClassArrays.clear();
-  SelectsIndexValid = false;
+  ArraySorts.clear();
+  ClassIdx.clear();
   LocIds.clear();
   NextLocId = 1;
   Model M;
   // Give nil its id first so it prints as nil.
   if (CC->isRegistered(TM.mkNil()))
     LocIds.emplace(CC->representative(TM.mkNil()), 0);
+
+  // The model must agree with every assigned atom; terms that occur only
+  // under unassigned (unconstrained) atoms may take any value, so only
+  // live terms define array contents.
+  std::unordered_set<TermRef> Live;
+  std::vector<TermRef> Work;
+  for (size_t I = 0; I < C.Atoms.size(); ++I)
+    if (atomAssigned(static_cast<int>(I)))
+      Work.push_back(C.Atoms[I]);
+  while (!Work.empty()) {
+    TermRef T = Work.back();
+    Work.pop_back();
+    if (Live.insert(T).second)
+      Work.insert(Work.end(), T->getArgs().begin(), T->getArgs().end());
+  }
+  for (TermRef T : CC->terms()) {
+    const Sort *S = T->getSort();
+    bool IsLive = Live.count(T) != 0;
+    if (S->isArray()) {
+      ArraySortModel &AS = ArraySorts[S];
+      TermRef Root = CC->representative(T);
+      if (ClassIdx.emplace(Root, static_cast<int>(AS.Roots.size())).second)
+        AS.Roots.push_back(Root);
+      switch (T->getKind()) {
+      case TermKind::Store:
+      case TermKind::ConstArray:
+      case TermKind::MapOr:
+      case TermKind::MapAnd:
+      case TermKind::MapDiff:
+      case TermKind::PwIte:
+        if (IsLive)
+          AS.Structured.push_back(T);
+        break;
+      default:
+        break;
+      }
+    }
+    if (T->getKind() == TermKind::Select && IsLive)
+      ArraySorts[T->getArg(0)->getSort()].Selects.push_back(T);
+  }
 
   // Collect leaf terms needing assignments: vars and opaque applications
   // registered anywhere (CC terms, atoms, arith opaques).
@@ -737,14 +940,14 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
       C.St.TheoryChecks > C.Opts.MaxTheoryChecks) {
     // Budget exhausted: accept the propositional model to stop the
     // search; checkSat() reports Unknown.
-    C.BudgetExhausted = true;
+    C.giveUp(UnknownReason::Budget);
     return true;
   }
   if (C.SolveDeadline != 0 &&
       std::chrono::duration<double>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count() > C.SolveDeadline) {
-    C.BudgetExhausted = true;
+    C.giveUp(UnknownReason::Timeout);
     return true;
   }
   if (C.St.TheoryChecks % 25 == 1)
@@ -788,7 +991,7 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
   }
   if (!equalityFixpoint(ConflictOut))
     return false;
-  if (C.BudgetExhausted)
+  if (C.gaveUp())
     return true;
 
   // Model construction with index-collision repair.
@@ -798,23 +1001,6 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
     if (V.K == Value::Kind::Bool && V.B)
       return true; // genuine model
     ++C.St.ModelRepairs;
-    if (logging::debugEnabled("smt") && C.St.ModelRepairs <= 4) {
-      unsigned Shown = 0;
-      for (size_t I = 0; I < C.Atoms.size() && Shown < 6; ++I) {
-        if (!atomAssigned(static_cast<int>(I)))
-          continue;
-        Value AV = C.CurrentModel.eval(C.Atoms[I]);
-        if (AV.K == Value::Kind::Bool &&
-            AV.B != atomValue(static_cast<int>(I))) {
-          logging::debugf("smt", "atom mismatch (sat=%d eval=%d): %s\n",
-                          (int)atomValue(static_cast<int>(I)), (int)AV.B,
-                          printTerm(C.Atoms[I]).c_str());
-          ++Shown;
-        }
-      }
-      if (Shown == 0)
-        logging::debugf("smt", "eval failed but all atoms agree\n");
-    }
     // Separate every colliding pair of numeric index terms at once —
     // including collisions with a constant index value, which have no
     // second opaque member to separate but corrupt the entry map just
@@ -826,14 +1012,14 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
     if (AR == ArithSolver::Result::Unknown) {
       // Undecided separation: blocking this assignment could turn a
       // satisfiable formula into a bogus Unsat.
-      C.BudgetExhausted = true;
+      C.giveUp(UnknownReason::ArithUndecided);
       return true;
     }
     if (AR == ArithSolver::Result::Unsat)
       break; // separation infeasible (some pair is forced equal)
     if (!equalityFixpoint(ConflictOut))
       return false;
-    if (C.BudgetExhausted)
+    if (C.gaveUp())
       return true;
   }
   // The model builder could not produce a witness, and no sound
@@ -843,14 +1029,13 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
   // wrong Unsat (found by the pipeline differential fuzzer). Give up
   // explicitly instead.
   ++C.St.ModelGiveUps;
-  C.BudgetExhausted = true;
+  C.giveUp(UnknownReason::ModelIncomplete);
   return true;
 }
 
 /// Asserts an artificial disequality (under SeparationTag) between every
-/// pair of distinct-in-CC index terms that share a model value, and
-/// between every opaque index term whose value collides with a constant
-/// index. Returns false when no collision was found.
+/// pair of distinct-in-CC index terms that share a model value. Returns
+/// false when no collision was found.
 bool TheoryEngine::separateCollisions() {
   bool Repaired = false;
   computeInterfaceTerms();
@@ -870,18 +1055,6 @@ bool TheoryEngine::separateCollisions() {
         Arith->assertAtom(P, ArithSolver::Op::Ne, SeparationTag);
         Repaired = true;
       }
-    }
-    auto CIt = ConstIndexValues.find(Key);
-    if (CIt == ConstIndexValues.end())
-      continue;
-    for (TermRef X : Members) {
-      if (CC->isRegistered(CIt->second) && CC->areEqual(X, CIt->second))
-        continue;
-      LinTerm P;
-      P.add(ArithVars[X], Rational(1));
-      P.Const = -Key.second;
-      Arith->assertAtom(P, ArithSolver::Op::Ne, SeparationTag);
-      Repaired = true;
     }
   }
   return Repaired;
@@ -1127,7 +1300,7 @@ void TheoryEngine::proposeArithEntailment(int AtomIdx,
 
 bool TheoryEngine::propagatePartial(std::vector<sat::Lit> &ImpliedOut,
                                     std::vector<sat::Lit> &ConflictOut) {
-  if (!PropMode || C.BudgetExhausted)
+  if (!PropMode || C.gaveUp())
     return true;
   // Cheap deadline probe: propagation runs orders of magnitude more often
   // than full-model checks, so the clock is only consulted periodically.
@@ -1135,7 +1308,7 @@ bool TheoryEngine::propagatePartial(std::vector<sat::Lit> &ImpliedOut,
       std::chrono::duration<double>(
           std::chrono::steady_clock::now().time_since_epoch())
               .count() > C.SolveDeadline) {
-    C.BudgetExhausted = true;
+    C.giveUp(UnknownReason::Timeout);
     return true;
   }
   if (!syncAssert(ConflictOut, /*CountReuse=*/false))

@@ -10,7 +10,7 @@
 ///
 ///  - SolverCore holds the state both drivers own: the SAT core, the
 ///    Tseitin literal cache, the theory-atom table, the evaluation safety
-///    net and the model.
+///    net, the model and the one counter fold of a check.
 ///  - TheoryEngine is the TheoryCallback invoked on full propositional
 ///    assignments. It runs congruence closure and simplex to fixpoint
 ///    with Nelson-Oppen style equality exchange, constructs a candidate
@@ -41,7 +41,6 @@
 #include "smt/SolverTypes.h"
 #include "smt/Term.h"
 
-#include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -69,8 +68,18 @@ struct SolverCore {
   std::vector<sat::Var> AtomVar;
   TermRef EvalFormula = nullptr; // pre-reduction formula for the safety net
 
-  bool BudgetExhausted = false;
   double SolveDeadline = 0; // monotonic seconds; 0 = none
+
+  /// Stops the search: the check answers Unknown for \p R (the first
+  /// reason given wins).
+  void giveUp(UnknownReason R) {
+    if (St.Why == UnknownReason::None)
+      St.Why = R;
+  }
+  bool gaveUp() const { return St.Why != UnknownReason::None; }
+
+  /// Adds this core's one check to the smt.* counters.
+  void recordCheck() const;
 
   /// Tseitin encoding, cached per term: a structure term's defining
   /// clauses are added once, a theory atom becomes a theory variable.
@@ -134,7 +143,7 @@ private:
   bool separateCollisions();
   void buildModel();
   Value valueOfTerm(TermRef T);
-  Value buildClassArray(TermRef Root);
+  void solveArraySort(const Sort *S);
 
   /// Persistent mode: pop the scratch level and every synced atom level
   /// that diverges from the current SAT trail, then return the number of
@@ -181,10 +190,6 @@ private:
   /// variable.
   std::unordered_map<TermRef, int> VarOfTerm;
   std::unordered_set<TermRef> InterfaceTerms;
-  /// Constant index terms (value keyed by sort): an opaque index whose
-  /// model value collides with one of these must be separated too, or
-  /// the model builder merges their array entries with no repair.
-  std::map<std::pair<const Sort *, Rational>, TermRef> ConstIndexValues;
   std::vector<std::vector<int>> CompositeExpl;
   std::set<std::pair<TermRef, TermRef>> AssertedCCEqualities;
 
@@ -241,12 +246,18 @@ private:
 
   // Model scratch.
   std::unordered_map<TermRef, Value> TermValues;
+  /// Value of every array-sorted CC class, keyed by its representative.
   std::unordered_map<TermRef, Value> ClassArrays;
-  /// Select terms grouped by their base array's class representative,
-  /// built once per model so buildClassArray avoids an all-terms scan
-  /// per array class.
-  std::unordered_map<TermRef, std::vector<TermRef>> SelectsByRoot;
-  bool SelectsIndexValid = false;
+  /// The CC classes of one array sort and the live terms that define
+  /// them, collected by buildModel and solved on first use.
+  struct ArraySortModel {
+    std::vector<TermRef> Roots;
+    std::vector<TermRef> Selects;    ///< live selects on these classes
+    std::vector<TermRef> Structured; ///< live store/const/map members
+    bool Solved = false;
+  };
+  std::unordered_map<const Sort *, ArraySortModel> ArraySorts;
+  std::unordered_map<TermRef, int> ClassIdx; ///< root -> index in Roots
   std::unordered_map<TermRef, int64_t> LocIds;
   int64_t NextLocId = 1;
 };

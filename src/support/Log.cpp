@@ -29,10 +29,6 @@ logging::Level resolveLevel() {
 }
 
 bool legacyDebug(const char *Subsys) {
-  if (std::strcmp(Subsys, "pipe") == 0) {
-    static const bool On = std::getenv("IDS_PIPE_DEBUG") != nullptr;
-    return On;
-  }
   if (std::strcmp(Subsys, "smt") == 0) {
     static const bool On = std::getenv("IDS_SMT_DEBUG") != nullptr;
     return On;

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// One leveled logger for the diagnostics that used to hide behind
-/// scattered `getenv("IDS_PIPE_DEBUG")` / `getenv("IDS_SMT_DEBUG")`
-/// checks. Levels come from `IDS_LOG=debug|info|off` (default: info);
-/// the legacy per-subsystem variables still force debug for their
-/// subsystem ("pipe", "smt") so existing invocations keep working.
+/// scattered `getenv` checks. Levels come from `IDS_LOG=debug|info|off`
+/// (default: info); the legacy `IDS_SMT_DEBUG` variable still forces
+/// debug for the "smt" subsystem so existing invocations keep working.
 ///
 /// Output is byte-stable with the fprintf calls this replaces: each
 /// line is `[subsys] ` followed by the formatted message, written to
@@ -30,9 +29,8 @@ enum class Level { Off = 0, Info = 1, Debug = 2 };
 /// The process log level from IDS_LOG (resolved once).
 Level level();
 
-/// True when \p Subsys should emit debug lines: IDS_LOG=debug, or the
-/// subsystem's legacy variable (IDS_PIPE_DEBUG for "pipe",
-/// IDS_SMT_DEBUG for "smt") is set.
+/// True when \p Subsys should emit debug lines: IDS_LOG=debug, or
+/// IDS_SMT_DEBUG is set and \p Subsys is "smt".
 bool debugEnabled(const char *Subsys);
 
 /// True unless IDS_LOG=off.

@@ -181,6 +181,46 @@ TEST(QueryCacheTest, UnknownOutcomesAreNotCached) {
   EXPECT_EQ(R3.St.Queries, 0u);
 }
 
+TEST(PipelineReportTest, UnknownNamesItsCause) {
+  // The range-sum query of UnknownOutcomesAreNotCached needs several
+  // theory checks, so a budget of one and a time limit that has passed
+  // by the first check each stop it, and each says so.
+  TermManager TM;
+  std::vector<TermRef> Conjs;
+  std::vector<TermRef> Sum;
+  for (int I = 0; I < 4; ++I) {
+    TermRef X = TM.mkVar("x" + std::to_string(I), TM.intSort());
+    Conjs.push_back(TM.mkOr(TM.mkEq(X, TM.mkIntConst(1)),
+                            TM.mkEq(X, TM.mkIntConst(2))));
+    Sum.push_back(X);
+  }
+  Conjs.push_back(TM.mkEq(TM.mkAdd(Sum), TM.mkIntConst(100)));
+  std::vector<vcgen::Obligation> Obls = {
+      obligation(TM.mkAnd(Conjs), TM.mkFalse(), "range-sum")};
+  auto endsWith = [](const std::string &S, const std::string &Suffix) {
+    return S.size() >= Suffix.size() &&
+           S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
+  };
+  for (bool Incremental : {true, false}) {
+    Options Budgeted;
+    Budgeted.Incremental = Incremental;
+    Budgeted.MaxTheoryChecks = 1;
+    Result R = solveObligations(TM, Obls, Budgeted, nullptr);
+    ASSERT_EQ(R.V, Verdict::Unknown);
+    EXPECT_TRUE(endsWith(R.FailedDescription,
+                         ": solver resource budget exhausted"))
+        << R.FailedDescription;
+
+    Options Timed;
+    Timed.Incremental = Incremental;
+    Timed.QueryTimeoutSeconds = 1e-9;
+    R = solveObligations(TM, Obls, Timed, nullptr);
+    ASSERT_EQ(R.V, Verdict::Unknown);
+    EXPECT_TRUE(endsWith(R.FailedDescription, ": solver time limit reached"))
+        << R.FailedDescription;
+  }
+}
+
 class PipelineVerdictTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(PipelineVerdictTest, JobsAndSplitsPreserveVerdicts) {

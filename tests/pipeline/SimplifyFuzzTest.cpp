@@ -22,6 +22,7 @@
 #include "pipeline/Simplify.h"
 #include "smt/Solver.h"
 #include "smt/TermPrinter.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -175,9 +176,20 @@ Solver::Result solveDirect(TermManager &TM, TermRef F) {
   return S.checkSat(F);
 }
 
+/// Model construction never gives up on a corpus: every Unknown is a
+/// budget artifact. Checked when the guard goes out of scope.
+struct NoGiveUps {
+  trace::Counter &GiveUps = trace::counter("smt.model_give_ups");
+  const uint64_t Before = GiveUps.value();
+  ~NoGiveUps() {
+    EXPECT_EQ(GiveUps.value(), Before) << "model construction gave up";
+  }
+};
+
 /// Rewrite must be idempotent and may not flip a decided verdict.
 void runRewriteDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
                             unsigned &Decided) {
+  NoGiveUps Guard;
   std::mt19937 Rng(Seed);
   for (unsigned I = 0; I < Iters; ++I) {
     TermManager TM;
@@ -209,6 +221,7 @@ void runRewriteDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
 /// of Guard /\ !Claim on random obligations.
 void runPipelineDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
                              unsigned &Decided) {
+  NoGiveUps Guard;
   std::mt19937 Rng(Seed);
   for (unsigned I = 0; I < Iters; ++I) {
     TermManager TM;

@@ -31,6 +31,16 @@ using namespace ids::smt;
 
 namespace {
 
+/// Model construction never gives up on a corpus: every Unknown is a
+/// budget artifact. Checked when the guard goes out of scope.
+struct NoGiveUps {
+  trace::Counter &GiveUps = trace::counter("smt.model_give_ups");
+  const uint64_t Before = GiveUps.value();
+  ~NoGiveUps() {
+    EXPECT_EQ(GiveUps.value(), Before) << "model construction gave up";
+  }
+};
+
 /// Runs \p Iters random formulas at \p Depth through a fresh solver each,
 /// cross-checking every Sat model. Returns {sat, unsat, unknown} counts.
 struct Counts {
@@ -38,6 +48,7 @@ struct Counts {
 };
 
 Counts runDifferential(uint32_t Seed, unsigned Iters, unsigned Depth) {
+  NoGiveUps Guard;
   std::mt19937 Rng(Seed);
   Counts C;
   for (unsigned I = 0; I < Iters; ++I) {
@@ -99,6 +110,7 @@ TEST(SmtFuzzTest, DifferentialArrayHeavy) {
 unsigned runConfigDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
                                const Solver::Options &OptsA,
                                const Solver::Options &OptsB) {
+  NoGiveUps Guard;
   std::mt19937 Rng(Seed);
   unsigned Decided = 0;
   for (unsigned I = 0; I < Iters; ++I) {
@@ -161,6 +173,7 @@ TEST(SmtFuzzTest, TheoryPropDifferential) {
   // clauses, early conflicts and theory-aware branching must never flip
   // a verdict, and propagation-side Sat models must still satisfy the
   // formula.
+  NoGiveUps Guard;
   std::mt19937 Rng(0x7E09);
   unsigned Decided = 0, PropChecks = 0;
   trace::Counter &TheoryProps = trace::counter("smt.theory_propagations");

@@ -20,6 +20,7 @@
 #include "smt/Solver.h"
 #include "smt/SolverContext.h"
 #include "smt/TermPrinter.h"
+#include "support/Trace.h"
 
 #include "FormulaGen.h"
 
@@ -46,6 +47,9 @@ SeqCounts runIncrementalDifferential(
     uint32_t Seed, unsigned Sequences, unsigned OpsPerSequence,
     unsigned Depth, const SolverOptions &CtxOpts = SolverOptions(),
     const SolverOptions &RefOpts = SolverOptions()) {
+  // Model construction never gives up on a corpus, on either side.
+  trace::Counter &GiveUps = trace::counter("smt.model_give_ups");
+  const uint64_t GiveUpsBefore = GiveUps.value();
   std::mt19937 Rng(Seed);
   SeqCounts C;
   for (unsigned S = 0; S < Sequences; ++S) {
@@ -128,6 +132,8 @@ SeqCounts runIncrementalDifferential(
     }
     CrossCheck(); // every sequence ends with a checked verdict
   }
+  EXPECT_EQ(GiveUps.value(), GiveUpsBefore)
+      << "model construction gave up (seed " << Seed << ")";
   return C;
 }
 

@@ -146,12 +146,17 @@ public:
 
 TEST(SatTest, TheoryCallbackConflicts) {
   SatSolver S;
-  Var A = S.newVar(), B = S.newVar();
-  S.addClause({Lit(A, false)}); // A forced true
+  Var C = S.newVar(), A = S.newVar(), B = S.newVar();
+  S.addClause({Lit(A, false)});               // A forced true
+  S.addClause({Lit(B, false), Lit(C, false)}); // B or C
   ForbidBoth T(A, B, S);
   EXPECT_EQ(S.solve(&T), SatSolver::Result::Sat);
+  // C is decided first (false), which forces B: the theory must refute
+  // A && B and the search then settles on C.
+  EXPECT_GE(S.numTheoryConflicts(), 1u);
   EXPECT_TRUE(S.modelValue(A));
   EXPECT_FALSE(S.modelValue(B));
+  EXPECT_TRUE(S.modelValue(C));
 }
 
 TEST(SatTest, TheoryCallbackUnsat) {
