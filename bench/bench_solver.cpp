@@ -6,19 +6,16 @@
 ///
 /// \file
 /// Per-procedure solver benchmark across the SAT-core configurations:
-/// the default (clause deletion + theory propagation), --no-reduce-db
-/// (learned clauses kept forever) and --no-theory-prop (lazy full-model
-/// theory checks only). For every target procedure and configuration it
-/// reports wall-clock seconds plus the solver counters that explain the
-/// difference — conflicts, propagations, lemmas deleted, reduceDB
-/// sweeps, restarts, theory propagations — and writes everything to
-/// BENCH_solver.json.
+/// the default (with theory propagation) and --no-theory-prop (lazy
+/// full-model theory checks only). For every target procedure and
+/// configuration it reports wall-clock seconds plus the solver counters
+/// that explain the difference — conflicts, propagations, restarts,
+/// theory propagations — and writes everything to BENCH_solver.json.
 ///
-/// The run doubles as a differential check: the three configurations
-/// must agree on every verdict (a deletion- or propagation-induced
-/// verdict flip is exactly the regression this benchmark exists to
-/// catch), and any disagreement or Failed verdict makes the exit code
-/// nonzero.
+/// The run doubles as a differential check: the two configurations must
+/// agree on every verdict (a propagation-induced verdict flip is exactly
+/// the regression this benchmark exists to catch), and any disagreement
+/// or Failed verdict makes the exit code nonzero.
 ///
 /// Usage: bench_solver [benchmark:procedure ...]
 /// Default targets are the two heaviest procedures of the suite
@@ -47,16 +44,13 @@ struct Target {
 
 struct ConfigSpec {
   const char *Name;
-  bool ReduceDb;
   bool TheoryProp;
 };
 
-// The corners that matter: the production solver, and one baseline per
-// SAT-core feature (each disables exactly one of them).
+// The production solver and its propagation-free baseline.
 const ConfigSpec Configs[] = {
-    {"default", true, true},
-    {"no-reduce-db", false, true},
-    {"no-theory-prop", true, false},
+    {"default", true},
+    {"no-theory-prop", false},
 };
 
 const char *statusName(driver::Status St) {
@@ -74,9 +68,8 @@ const char *statusName(driver::Status St) {
 // Solver counters snapshotted around each run; the delta is the
 // per-procedure cost under that configuration.
 const char *const CounterKeys[] = {
-    "smt.conflicts",      "smt.propagations",     "smt.lemmas_deleted",
-    "smt.reduce_db_sweeps", "smt.restarts",       "smt.decisions",
-    "smt.theory_checks",  "smt.theory_propagations",
+    "smt.conflicts",     "smt.propagations",        "smt.restarts",
+    "smt.decisions",     "smt.theory_checks",       "smt.theory_propagations",
     "smt.propagation_conflicts", "smt.cc_registrations_reused",
 };
 
@@ -145,7 +138,6 @@ int main(int Argc, char **Argv) {
       // Solver-only measurement: the impact checks are a separate,
       // uniformly cheap workload and would just add noise here.
       Opts.CheckImpacts = false;
-      Opts.ReduceDb = C.ReduceDb;
       Opts.TheoryProp = C.TheoryProp;
       // Same guard rails as bench_table2: a configuration that cannot
       // finish reports a bounded 'unknown', not an open-ended run.
@@ -191,13 +183,12 @@ int main(int Argc, char **Argv) {
       Runs.push(std::move(Run));
 
       printf("  %-14s %-9s %8.2fs  conflicts=%llu propagations=%llu "
-             "lemmas_deleted=%llu theory_props=%llu theory_checks=%llu\n",
+             "theory_props=%llu theory_checks=%llu\n",
              C.Name, statusName(P->St), Seconds,
              (unsigned long long)(After[0] - Before[0]),
              (unsigned long long)(After[1] - Before[1]),
-             (unsigned long long)(After[2] - Before[2]),
-             (unsigned long long)(After[7] - Before[7]),
-             (unsigned long long)(After[6] - Before[6]));
+             (unsigned long long)(After[5] - Before[5]),
+             (unsigned long long)(After[4] - Before[4]));
 
       if (P->St == driver::Status::Failed)
         Ok = false;

@@ -52,7 +52,6 @@ driver::VerifyOptions configFor(bool Pipeline) {
   Opts.QueryTimeoutSeconds = 300;
   if (!Pipeline) {
     Opts.SimplifyVc = false;
-    Opts.SliceVc = false;
     Opts.CacheQueries = false;
     // Without per-obligation simplification, cap the query count the
     // paper's way (Boogie with max 8 VC splits, Section 5.3) and tighten

@@ -82,12 +82,9 @@ const char *driver::usageText() {
       "default 0 = auto-detect\n"
       "                      from hardware concurrency)\n"
       "             --no-simp (disable the VC simplifier)\n"
-      "             --no-slice (disable cone-of-influence slicing)\n"
       "             --no-cache (disable the structural query cache)\n"
       "             --no-incremental (solve every query on the one-shot\n"
       "                      reference solver)\n"
-      "             --no-reduce-db (disable activity-based learned-clause\n"
-      "                      deletion in the SAT core)\n"
       "             --no-theory-prop (disable DPLL(T) theory propagation;\n"
       "                      the purely lazy differential baseline)\n"
       "             --stats (print per-procedure pipeline statistics and\n"
@@ -154,14 +151,10 @@ CliArgs driver::parseCli(int Argc, const char *const *Argv) {
       A.Opts.CheckImpacts = false;
     } else if (Arg == "--no-simp") {
       A.Opts.SimplifyVc = false;
-    } else if (Arg == "--no-slice") {
-      A.Opts.SliceVc = false;
     } else if (Arg == "--no-cache") {
       A.Opts.CacheQueries = false;
     } else if (Arg == "--no-incremental") {
       A.Opts.Incremental = false;
-    } else if (Arg == "--no-reduce-db") {
-      A.Opts.ReduceDb = false;
     } else if (Arg == "--no-theory-prop") {
       A.Opts.TheoryProp = false;
     } else if (Arg == "--no-reverify-cache") {

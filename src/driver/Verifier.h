@@ -94,23 +94,16 @@ struct VerifyOptions {
   /// VC pipeline stages (each independently disableable for differential
   /// testing) and the solver dispatch width.
   bool SimplifyVc = true;  ///< --no-simp
-  bool SliceVc = true;     ///< --no-slice
   bool CacheQueries = true; ///< --no-cache
   /// Solve each query on a fresh SolverContext;
   /// --no-incremental solves every query on the one-shot reference solver.
   bool Incremental = true;
-  /// Activity-based learned-clause deletion in the SAT core;
-  /// --no-reduce-db disables it (differential baseline).
-  bool ReduceDb = true;
   /// DPLL(T) theory propagation in SolverContext solves; --no-theory-prop
   /// restores the purely lazy full-model behavior (differential baseline).
   bool TheoryProp = true;
   unsigned Jobs = 0;        ///< --jobs N; 0 auto-detects hardware threads
   /// Restrict verification to this procedure (empty = all).
   std::string OnlyProc;
-  /// Cross-check that generated VCs are quantifier-free (Section 5.1);
-  /// always true in QF mode.
-  bool CrossCheckQf = true;
   /// Per-query theory-check budget forwarded to the solver (0 =
   /// unlimited). Exhaustion is reported as Status::Unknown.
   uint64_t MaxTheoryChecks = 0;

@@ -39,16 +39,13 @@ double seconds(std::chrono::steady_clock::time_point Start) {
 pipeline::Options pipelineOptions(const VerifyOptions &Opts) {
   pipeline::Options P;
   P.Simplify = Opts.SimplifyVc;
-  P.Slice = Opts.SliceVc;
   P.Cache = Opts.CacheQueries;
   P.Incremental = Opts.Incremental;
   P.Jobs = Opts.Jobs;
   P.VcSplits = Opts.VcSplits;
   P.AllowQuantifiers = Opts.QuantifiedMode;
-  P.CrossCheckQf = Opts.CrossCheckQf;
   P.MaxTheoryChecks = Opts.MaxTheoryChecks;
   P.QueryTimeoutSeconds = Opts.QueryTimeoutSeconds;
-  P.ReduceDb = Opts.ReduceDb;
   P.TheoryProp = Opts.TheoryProp;
   return P;
 }

@@ -7,7 +7,6 @@
 #include "pipeline/Pipeline.h"
 
 #include "pipeline/Simplify.h"
-#include "pipeline/Slice.h"
 #include "smt/Solver.h"
 #include "smt/SolverContext.h"
 #include "support/JobManager.h"
@@ -38,15 +37,9 @@ const StatsRow StatsRows[] = {
      false},
     {"proved_by_simplify",
      [](const Stats &S) { return uint64_t(S.ProvedBySimplify); }, false},
-    {"conjuncts_before_slice",
-     [](const Stats &S) { return uint64_t(S.ConjunctsBeforeSlice); }, false},
-    {"conjuncts_sliced",
-     [](const Stats &S) { return uint64_t(S.ConjunctsSliced); }, false},
     {"queries", [](const Stats &S) { return uint64_t(S.Queries); }, false},
     {"cache_hits", [](const Stats &S) { return uint64_t(S.CacheHits); },
      false},
-    {"slice_fallbacks",
-     [](const Stats &S) { return uint64_t(S.SliceFallbacks); }, false},
     {"max_atoms", [](const Stats &S) { return uint64_t(S.MaxAtoms); }, true},
     {"max_array_lemmas",
      [](const Stats &S) { return uint64_t(S.MaxArrayLemmas); }, true},
@@ -86,11 +79,8 @@ std::string pipeline::vcHashHex(TermRef Query) {
 void Stats::merge(const Stats &O) {
   Obligations += O.Obligations;
   ProvedBySimplify += O.ProvedBySimplify;
-  ConjunctsBeforeSlice += O.ConjunctsBeforeSlice;
-  ConjunctsSliced += O.ConjunctsSliced;
   Queries += O.Queries;
   CacheHits += O.CacheHits;
-  SliceFallbacks += O.SliceFallbacks;
   MaxAtoms = std::max(MaxAtoms, O.MaxAtoms);
   MaxArrayLemmas = std::max(MaxArrayLemmas, O.MaxArrayLemmas);
   TotalAtoms += O.TotalAtoms;
@@ -194,7 +184,6 @@ private:
     SOpts.AllowQuantifiers = Opts.AllowQuantifiers;
     SOpts.MaxTheoryChecks = Opts.MaxTheoryChecks;
     SOpts.TimeoutSeconds = Opts.QueryTimeoutSeconds;
-    SOpts.ClauseDeletion = Opts.ReduceDb;
     QueryCache::Outcome O;
     if (Opts.Incremental && !Opts.AllowQuantifiers) {
       SOpts.TheoryPropagation = Opts.TheoryProp;
@@ -297,12 +286,11 @@ pipeline::Result pipeline::solveObligations(
   if (Obls.empty())
     return R;
 
-  // ---- Stage 1: simplify + slice each obligation. ----
+  // ---- Stage 1: simplify each obligation. ----
   struct Prepared {
-    TermRef Query = nullptr; ///< negated obligation, simplified + sliced
-    TermRef Orig = nullptr;  ///< the untransformed negated obligation
-    bool Sliced = false;
-    bool Proved = false; ///< discharged by the simplifier
+    TermRef Query = nullptr; ///< negated obligation, simplified
+    TermRef Orig = nullptr;  ///< the unsimplified negated obligation
+    bool Proved = false;     ///< discharged by the simplifier
   };
   std::vector<Prepared> Prep(Obls.size());
   Simplifier Simp(TM);
@@ -311,11 +299,10 @@ pipeline::Result pipeline::solveObligations(
     TermRef Guard = Obls[I].Guard;
     TermRef Claim = Obls[I].Claim;
     Prep[I].Orig = TM.mkAnd(Guard, TM.mkNot(Claim));
-    // The QF cross-check must see the obligation BEFORE slicing or
-    // simplification — a quantifier in a sliced-away conjunct is still a
-    // vcgen invariant break.
-    if (Opts.CrossCheckQf && !Opts.AllowQuantifiers &&
-        TM.containsQuantifier(Prep[I].Orig)) {
+    // The QF cross-check must see the obligation BEFORE simplification
+    // — a quantifier the simplifier rewrites away is still a vcgen
+    // invariant break.
+    if (!Opts.AllowQuantifiers && TM.containsQuantifier(Prep[I].Orig)) {
       R.V = Verdict::Unknown;
       R.FailedDescription = "internal: quantifier leaked into a QF-mode VC";
       return R;
@@ -335,22 +322,6 @@ pipeline::Result pipeline::solveObligations(
       continue;
     }
     Prep[I].Query = TM.mkAnd(Guard, TM.mkNot(Claim));
-    if (Opts.Slice) {
-      trace::ScopedSpan Sp("pipeline.slice");
-      if (Sp.active()) {
-        Sp.arg("proc", Opts.TraceLabel);
-        Sp.arg("vc", vcHashHex(Prep[I].Orig));
-      }
-      std::vector<TermRef> Conjuncts = guardConjuncts(Guard);
-      R.St.ConjunctsBeforeSlice += static_cast<unsigned>(Conjuncts.size());
-      SliceStats SS;
-      std::vector<TermRef> Kept = sliceGuard(Conjuncts, Claim, &SS);
-      R.St.ConjunctsSliced += SS.ConjunctsDropped;
-      if (Kept.size() != Conjuncts.size()) {
-        Prep[I].Query = TM.mkAnd(TM.mkAnd(std::move(Kept)), TM.mkNot(Claim));
-        Prep[I].Sliced = true;
-      }
-    }
   }
   R.St.ProvedBySimplify = SimpStats.ProvedTrivially;
 
@@ -402,12 +373,12 @@ pipeline::Result pipeline::solveObligations(
   std::vector<QueryCache::Outcome> MainOut = Batch.solve(MainQueries);
 
   // ---- Stage 4: resolve Sat units against the original obligations. ----
-  // A Sat answer is definitive only for a single-obligation query that
-  // is still the original: slicing can manufacture spurious models (the
-  // dropped conjuncts may be infeasible), and a group model does not name
-  // the failing member. Re-checking the untransformed obligation settles
-  // both. (The simplifier only discharges obligations outright; it never
-  // rewrites the query a surviving obligation is solved as.)
+  // A Sat answer is final for a single-obligation query that is still
+  // the original. A group model does not name the failing member, and a
+  // query the simplifier rewrote is only equisatisfiable with the
+  // original: its model lacks the symbols that guard-equality
+  // substitution eliminated. Re-checking each unsimplified obligation
+  // settles both.
   std::vector<TermRef> ResQueries;
   std::unordered_map<size_t, size_t> ResIdx; // obligation -> res query index
   for (size_t U = 0; U < Units.size(); ++U) {
@@ -420,8 +391,6 @@ pipeline::Result pipeline::solveObligations(
     for (size_t M : Un.Members) {
       ResIdx.emplace(M, ResQueries.size());
       ResQueries.push_back(Prep[M].Orig);
-      if (Prep[M].Sliced)
-        ++R.St.SliceFallbacks;
     }
   }
   std::vector<QueryCache::Outcome> ResOut = Batch.solve(ResQueries);
@@ -450,10 +419,9 @@ pipeline::Result pipeline::solveObligations(
       Models[Un.Members[0]] = O1.ModelText;
       continue;
     }
-    bool AnySat = false, AnyUnknown = false, AnyTransformed = false;
+    bool AnySat = false, AnyUnknown = false;
     for (size_t M : Un.Members) {
       const QueryCache::Outcome &O2 = ResOut[ResIdx[M]];
-      AnyTransformed |= Prep[M].Query != Prep[M].Orig;
       if (O2.R == Solver::Result::Sat) {
         V[M] = OV::Failed;
         Models[M] = O2.ModelText;
@@ -464,11 +432,10 @@ pipeline::Result pipeline::solveObligations(
         AnyUnknown = true;
       }
     }
-    // Every member refuted on its original form: the unit's model came
-    // from a pipeline transform (fine — all proved). With no transform
-    // in play that state is an internal inconsistency; preserve the
-    // legacy diagnosis.
-    if (!AnySat && !AnyUnknown && !AnyTransformed)
+    // Every member refuted on its original form although the unit was
+    // Sat: the simplifier preserves satisfiability, so this is an
+    // internal inconsistency.
+    if (!AnySat && !AnyUnknown)
       GroupNoWitness = true;
   }
 

@@ -6,21 +6,20 @@
 ///
 /// \file
 /// The VC pipeline sits between vcgen and the SMT solver: each proof
-/// obligation is simplified (Simplify.h), sliced to the claim's cone of
-/// influence (Slice.h), deduplicated against a structural query cache
-/// (QueryCache.h), and every surviving query is an independent task on a
-/// FIFO thread pool (support/JobManager.h). Each task solves its
-/// query on a fresh SolverContext, the query as its single
-/// assertion, in a snapshot overlay of the (frozen) caller TermManager,
-/// so workers share the read-mostly term structure and pay only for
-/// their own delta. Every stage is independently disableable
-/// (`--no-simp`, `--no-slice`, `--no-cache`, `--jobs 1`) so the
-/// transforms can be tested differentially.
+/// obligation is simplified (Simplify.h), deduplicated against a
+/// structural query cache (QueryCache.h), and every surviving query is
+/// an independent task on a FIFO thread pool (support/JobManager.h).
+/// Each task solves its query on a fresh SolverContext, the query as its
+/// single assertion, in a snapshot overlay of the (frozen) caller
+/// TermManager, so workers share the read-mostly term structure and pay
+/// only for their own delta. Every stage is independently disableable
+/// (`--no-simp`, `--no-cache`, `--jobs 1`) so the transforms can be
+/// tested differentially.
 ///
 /// This replaces the driver's former monolithic conjoin-and-refute loop:
 /// per-obligation queries are exactly the independently decidable units
 /// the paper's predictability argument rests on, and they are what makes
-/// caching, slicing and parallel dispatch effective.
+/// caching and parallel dispatch effective.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +40,6 @@ namespace pipeline {
 struct Options {
   /// Run the simplifier pass (--no-simp disables).
   bool Simplify = true;
-  /// Run the cone-of-influence slicer (--no-slice disables).
-  bool Slice = true;
   /// Consult/populate the structural query cache (--no-cache disables).
   bool Cache = true;
   /// Solve each quantifier-free query on a fresh SolverContext (theory
@@ -56,14 +53,11 @@ struct Options {
   /// disjunctive queries (the paper's Boogie-style VC splitting). 0, the
   /// default, solves one query per obligation.
   unsigned VcSplits = 0;
-  /// Forwarded solver options.
+  /// Forwarded solver options. Without AllowQuantifiers every
+  /// obligation is cross-checked to be quantifier-free first.
   bool AllowQuantifiers = false;
-  bool CrossCheckQf = true;
   uint64_t MaxTheoryChecks = 0;
   double QueryTimeoutSeconds = 0;
-  /// Activity-based learned-clause deletion in the SAT core
-  /// (--no-reduce-db disables, the differential baseline).
-  bool ReduceDb = true;
   /// DPLL(T) theory propagation in SolverContext solves
   /// (--no-theory-prop disables, the differential baseline restoring
   /// purely lazy full-model checking).
@@ -78,14 +72,9 @@ struct Stats {
   unsigned Obligations = 0;
   /// Discharged by the simplifier alone, no solver query.
   unsigned ProvedBySimplify = 0;
-  /// Guard conjuncts before/dropped-by slicing, summed over obligations.
-  unsigned ConjunctsBeforeSlice = 0;
-  unsigned ConjunctsSliced = 0;
   /// Solver queries actually run (after dedup/caching).
   unsigned Queries = 0;
   unsigned CacheHits = 0;
-  /// Sat answers on sliced queries re-checked against the full guard.
-  unsigned SliceFallbacks = 0;
   /// Largest query the solver saw (post-pipeline), and totals.
   unsigned MaxAtoms = 0;
   unsigned MaxArrayLemmas = 0;

@@ -15,7 +15,7 @@
 /// rebuilt an O(formula-size) key on every lookup. The cache stores the
 /// raw solver outcome — Sat with model text, or Unsat — never an
 /// obligation verdict, so entries stay valid regardless of which
-/// obligation (sliced or not) produced the query. Unknown outcomes are
+/// obligation (simplified or not) produced the query. Unknown outcomes are
 /// NEVER stored: an Unknown is a property of the (budget, timeout) that
 /// produced it, not of the query, and replaying one under a larger
 /// budget would weaken verdicts (and poison a persisted cache for every

@@ -14,6 +14,14 @@ using namespace ids::smt;
 
 namespace {
 
+/// The top-level conjuncts of a guard (a non-And guard is its own sole
+/// conjunct): the unit of the guard-equality propagation.
+std::vector<TermRef> guardConjuncts(TermRef Guard) {
+  if (Guard->getKind() == TermKind::And)
+    return Guard->getArgs();
+  return {Guard};
+}
+
 /// Distinctness provable from the terms alone: two different interned
 /// values of the same sort denote different elements (Int/Rat/Bool
 /// constants are interpreted).

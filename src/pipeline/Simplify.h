@@ -47,15 +47,6 @@ struct SimplifyStats {
   unsigned ProvedTrivially = 0;
 };
 
-/// The top-level conjuncts of a guard (a non-And guard is its own sole
-/// conjunct) — the unit of granularity shared by the simplifier's
-/// equality propagation and the slicer.
-inline std::vector<smt::TermRef> guardConjuncts(smt::TermRef Guard) {
-  if (Guard->getKind() == smt::TermKind::And)
-    return Guard->getArgs();
-  return {Guard};
-}
-
 /// Stateless-per-term rewriter with a persistent memo table; one instance
 /// per (manager, obligation batch).
 class Simplifier {

@@ -155,9 +155,10 @@ private:
 };
 } // namespace
 
-QuantInstResult smt::instantiateQuantifiers(TermManager &TM, TermRef Formula,
-                                            unsigned Rounds,
-                                            unsigned MaxInstPerQuant) {
+QuantInstResult smt::instantiateQuantifiers(TermManager &TM,
+                                            TermRef Formula) {
+  constexpr unsigned Rounds = 2;
+  constexpr unsigned MaxInstPerQuant = 2048;
   QuantInstResult Result;
   Result.Formula = Formula;
   if (!TM.containsQuantifier(Formula))

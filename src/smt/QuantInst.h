@@ -34,11 +34,9 @@ struct QuantInstResult {
   unsigned NumInstantiations = 0;
 };
 
-/// Instantiates quantifiers in \p Formula over \p Rounds rounds, with at
-/// most \p MaxInstPerQuant ground tuples per quantifier occurrence.
-QuantInstResult instantiateQuantifiers(TermManager &TM, TermRef Formula,
-                                       unsigned Rounds = 2,
-                                       unsigned MaxInstPerQuant = 2048);
+/// Instantiates quantifiers in \p Formula over two rounds, with at most
+/// 2048 ground tuples per quantifier occurrence.
+QuantInstResult instantiateQuantifiers(TermManager &TM, TermRef Formula);
 
 } // namespace smt
 } // namespace ids

@@ -86,119 +86,40 @@ void SatSolver::attachClause(int Idx) {
   }
 }
 
-void SatSolver::detachClause(int Idx) {
-  Clause &C = Clauses[Idx];
-  for (int W = 0; W < 2; ++W) {
-    std::vector<Watcher> &List = Watches[C.Lits[W].Code];
-    for (size_t I = 0; I < List.size(); ++I)
-      if (List[I].ClauseIdx == Idx) {
-        List[I] = List.back();
-        List.pop_back();
-        break;
-      }
-  }
-}
-
-void SatSolver::bumpOcc(const std::vector<Lit> &Lits, int Delta) {
+void SatSolver::bumpOcc(const std::vector<Lit> &Lits) {
   for (Lit L : Lits) {
-    Var V = L.var();
-    VarOcc[V] += Delta;
     // A 0 -> 1 transition revives a variable that pickBranchLit may have
     // discarded from the heap while it was unconstrained.
-    if (Delta > 0 && VarOcc[V] == 1)
-      heapInsert(V);
+    if (VarOcc[L.var()]++ == 0)
+      heapInsert(L.var());
   }
 }
 
-int SatSolver::allocClause(std::vector<Lit> Lits, bool Learned,
-                           bool ReasonOnly) {
+int SatSolver::allocClause(std::vector<Lit> Lits, bool ReasonOnly) {
   // ReasonOnly clauses are invisible to the clause economy: no watches,
-  // no VarOcc (they must not revive an unconstrained variable), no learned
-  // count (they are freed on unassignment, not by reduceDB).
+  // no VarOcc (they must not revive an unconstrained variable).
   if (!ReasonOnly)
-    bumpOcc(Lits, +1);
+    bumpOcc(Lits);
   int Idx;
   if (!FreeClauseSlots.empty()) {
     Idx = FreeClauseSlots.back();
     FreeClauseSlots.pop_back();
-    Clauses[Idx] = {std::move(Lits), Learned, false, ReasonOnly, 0.0};
+    Clauses[Idx] = {std::move(Lits), ReasonOnly};
   } else {
     Idx = static_cast<int>(Clauses.size());
-    Clauses.push_back({std::move(Lits), Learned, false, ReasonOnly, 0.0});
+    Clauses.push_back({std::move(Lits), ReasonOnly});
   }
   ++NumLiveClauses;
-  if (Learned && !ReasonOnly) {
-    ++NumLearnedLive;
-    // Fresh lemmas start hot so a reduceDB sweep right after learning
-    // cannot delete them before they had a chance to prune anything.
-    Clauses[Idx].Act = ClaInc;
-  }
   return Idx;
 }
 
 void SatSolver::removeClause(int Idx) {
   Clause &C = Clauses[Idx];
-  assert(!C.Dead && "removing a dead clause");
-  if (!C.ReasonOnly) {
-    if (C.Lits.size() >= 2)
-      detachClause(Idx);
-    bumpOcc(C.Lits, -1);
-  }
-  C.Dead = true;
+  assert(C.ReasonOnly && !C.Lits.empty() && "removing a dead or input clause");
   C.Lits.clear();
   C.Lits.shrink_to_fit();
   --NumLiveClauses;
-  if (C.Learned && !C.ReasonOnly)
-    --NumLearnedLive;
   FreeClauseSlots.push_back(Idx);
-}
-
-void SatSolver::bumpClause(int Idx) {
-  Clause &C = Clauses[Idx];
-  C.Act += ClaInc;
-  if (C.Act > 1e20) {
-    for (Clause &D : Clauses)
-      D.Act *= 1e-20;
-    ClaInc *= 1e-20;
-  }
-}
-
-void SatSolver::decayClauseActivities() { ClaInc *= (1.0 / 0.999); }
-
-bool SatSolver::clauseLocked(int Idx) const {
-  const Clause &C = Clauses[Idx];
-  for (Lit L : C.Lits) {
-    Var V = L.var();
-    if (ReasonIdx[V] == Idx && Assign[V] != LBool::Undef)
-      return true;
-  }
-  return false;
-}
-
-void SatSolver::reduceDB() {
-  // Deletable: learned, longer than binary (short lemmas are cheap for
-  // BCP and typically the distilled theory facts), and not currently the
-  // reason of an assigned literal.
-  std::vector<int> Deletable;
-  for (size_t Idx = 0; Idx < Clauses.size(); ++Idx) {
-    const Clause &C = Clauses[Idx];
-    if (C.Dead || !C.Learned || C.ReasonOnly || C.Lits.size() <= 2)
-      continue;
-    if (clauseLocked(static_cast<int>(Idx)))
-      continue;
-    Deletable.push_back(static_cast<int>(Idx));
-  }
-  std::sort(Deletable.begin(), Deletable.end(),
-            [&](int A, int B) { return Clauses[A].Act < Clauses[B].Act; });
-  size_t Kill = Deletable.size() / 2;
-  for (size_t I = 0; I < Kill; ++I) {
-    removeClause(Deletable[I]);
-    ++LemmasDeleted;
-  }
-  ++ReduceDbSweeps;
-  // Grow the limit so deleted-but-still-needed theory lemmas (which the
-  // theory callback will regenerate) cannot make the search thrash.
-  MaxLearned += MaxLearned / 5 + 1;
 }
 
 bool SatSolver::addClause(std::vector<Lit> Lits) {
@@ -233,7 +154,7 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
     }
     return true;
   }
-  int Idx = allocClause(std::move(Lits), false);
+  int Idx = allocClause(std::move(Lits));
   attachClause(Idx);
   return true;
 }
@@ -332,8 +253,6 @@ void SatSolver::analyze(int ConflictIdx, std::vector<Lit> &LearnedOut,
       Reason = materializeReason(P.var());
     assert(Reason != -1 && "conflict analysis ran past a decision");
     Clause &C = Clauses[Reason];
-    if (C.Learned)
-      bumpClause(Reason);
     for (Lit Q : C.Lits) {
       if (HaveP && Q == P)
         continue;
@@ -379,8 +298,7 @@ int SatSolver::materializeReason(Var V) {
   ActiveTheory->explainPropagation(P, Reason);
   assert(!Reason.empty() && Reason[0] == P &&
          "theory reason must lead with the propagated literal");
-  int Idx = allocClause(std::move(Reason), /*Learned=*/true,
-                        /*ReasonOnly=*/true);
+  int Idx = allocClause(std::move(Reason), /*ReasonOnly=*/true);
   ReasonIdx[V] = Idx;
   return Idx;
 }
@@ -471,7 +389,7 @@ bool SatSolver::learnConflict(std::vector<Lit> Lits) {
     }
     return true;
   }
-  int ClauseIdx = allocClause(Final, true);
+  int ClauseIdx = allocClause(Final);
   attachClause(ClauseIdx);
   if (TopUnique) {
     // Asserting clause: jump to the second-highest level and propagate.
@@ -526,14 +444,11 @@ SatSolver::Result SatSolver::solve(TheoryCallback *Theory) {
       if (Learned.size() == 1) {
         enqueue(Learned[0], -1);
       } else {
-        int Idx = allocClause(std::move(Learned), true);
+        int Idx = allocClause(std::move(Learned));
         attachClause(Idx);
         enqueue(Clauses[Idx].Lits[0], Idx);
       }
       decayActivities();
-      decayClauseActivities();
-      if (ClauseDeletionEnabled && NumLearnedLive >= MaxLearned)
-        reduceDB();
       continue;
     }
 
@@ -550,8 +465,6 @@ SatSolver::Result SatSolver::solve(TheoryCallback *Theory) {
         ++TheoryPropConflicts;
         if (!learnConflict(std::move(TheoryConflictBuf)))
           return Result::Unsat;
-        if (ClauseDeletionEnabled && NumLearnedLive >= MaxLearned)
-          reduceDB();
         continue;
       }
       bool Changed = false;
@@ -599,8 +512,6 @@ SatSolver::Result SatSolver::solve(TheoryCallback *Theory) {
         return Result::Sat;
       if (!learnConflict(std::move(TheoryConflict)))
         return Result::Unsat;
-      if (ClauseDeletionEnabled && NumLearnedLive >= MaxLearned)
-        reduceDB();
       continue;
     }
     ++Decisions;

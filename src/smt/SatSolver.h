@@ -15,8 +15,9 @@
 /// theory stack) that is learned and search resumes. This is terminating:
 /// each theory clause removes at least one total assignment.
 ///
-/// The clause database only grows, apart from learned-clause deletion:
-/// clauses are added at the root, and a refutation, once derived, is
+/// The clause database only grows, apart from the theory-propagation
+/// reasons that are freed with their literal: clauses are added at the
+/// root, learned clauses are kept, and a refutation, once derived, is
 /// final.
 ///
 //===----------------------------------------------------------------------===//
@@ -140,9 +141,8 @@ public:
   /// theory trail (the subsequence of the trail the theory cares about).
   void markTheoryVar(Var V) { IsTheoryVar[V] = 1; }
   /// True while the variable occurs in a live clause. A variable whose
-  /// clauses were all satisfied at the root or swept by reduceDB() is
-  /// unconstrained: the search never branches on it and the theory engine
-  /// does not propagate it.
+  /// clauses were all satisfied at the root is unconstrained: the search
+  /// never branches on it and the theory engine does not propagate it.
   bool varActive(Var V) const { return VarOcc[V] > 0; }
   /// Theory-atom subsequence of the trail, in assignment order. Valid
   /// only with theory propagation enabled.
@@ -152,22 +152,6 @@ public:
   /// is unchanged the theory trail has only grown.
   uint64_t theoryTrailResets() const { return TheoryTrailResetsCount; }
 
-  // ------------------------------------------------- Clause deletion --
-  /// Enables/disables the activity-based learned-clause sweep (on by
-  /// default). Differential baselines run with it off (--no-reduce-db).
-  void setClauseDeletion(bool Enabled) { ClauseDeletionEnabled = Enabled; }
-  /// Deletes the cold half of the deletable learned clauses: learned,
-  /// longer than two literals, and not locked (a locked clause is the
-  /// reason of a currently assigned literal — deleting it would orphan
-  /// the implication graph). solve() invokes this automatically when the
-  /// live learned set crosses a growing limit; exposed for tests.
-  void reduceDB();
-  /// Shrinks the learned-set limit that triggers reduceDB() (tests force
-  /// frequent sweeps with a tiny limit; the limit still grows 1.2x per
-  /// sweep, which keeps search terminating with regenerable theory
-  /// lemmas).
-  void setReduceDbLimit(unsigned Limit) { MaxLearned = Limit; }
-
   // Statistics (exposed for the micro-bench harness).
   uint64_t numConflicts() const { return Conflicts; }
   uint64_t numDecisions() const { return Decisions; }
@@ -176,26 +160,16 @@ public:
   uint64_t numTheoryPropagations() const { return TheoryPropagations; }
   uint64_t numTheoryPropConflicts() const { return TheoryPropConflicts; }
   uint64_t numRestarts() const { return Restarts; }
-  uint64_t numLemmasDeleted() const { return LemmasDeleted; }
-  uint64_t numReduceDbSweeps() const { return ReduceDbSweeps; }
-  /// Live learned clauses (dead slots excluded).
-  unsigned numLearnedClauses() const { return NumLearnedLive; }
   /// Live clauses in the database (dead slots excluded).
   unsigned numClauses() const { return NumLiveClauses; }
 
 private:
   struct Clause {
     std::vector<Lit> Lits;
-    bool Learned = false;
-    bool Dead = false;
     /// Lazily materialized theory-propagation reason: never attached to
-    /// the watch lists, excluded from VarOcc and the learned-clause
-    /// economy, and freed as soon as its literal is unassigned.
+    /// the watch lists, excluded from VarOcc, and freed as soon as its
+    /// literal is unassigned.
     bool ReasonOnly = false;
-    /// EVSIDS-style clause activity: bumped when the clause participates
-    /// in a conflict derivation, decayed (via ClaInc scaling) with every
-    /// conflict. reduceDB() deletes the cold half by this score.
-    double Act = 0.0;
   };
   struct Watcher {
     int ClauseIdx;
@@ -224,31 +198,24 @@ private:
   /// Inserts \p V into the branching heap unless already present.
   void heapInsert(Var V);
   void attachClause(int Idx);
-  void detachClause(int Idx);
-  int allocClause(std::vector<Lit> Lits, bool Learned,
-                  bool ReasonOnly = false);
+  int allocClause(std::vector<Lit> Lits, bool ReasonOnly = false);
   int currentLevel() const { return static_cast<int>(TrailLim.size()); }
   /// Learns a clause whose literals are all currently false (theory
   /// conflict), backjumping appropriately. Returns false on a refutation.
   bool learnConflict(std::vector<Lit> Lits);
   static uint64_t luby(uint64_t I);
 
-  void bumpOcc(const std::vector<Lit> &Lits, int Delta);
+  void bumpOcc(const std::vector<Lit> &Lits);
 
-  void bumpClause(int Idx);
-  void decayClauseActivities();
-  /// A clause is locked while it is the reason of an assigned literal.
-  bool clauseLocked(int Idx) const;
-  /// Detaches, kills and recycles one clause (shared by reduceDB and the
-  /// release of materialized theory reasons on backtrack).
+  /// Kills and recycles a materialized theory reason (on backtrack).
   void removeClause(int Idx);
 
   std::vector<Clause> Clauses;
   std::vector<int> FreeClauseSlots;
-  /// Live-clause occurrence count per variable. A variable with no live
-  /// occurrence is unconstrained — the search never branches on it, so
-  /// atoms whose clauses were all satisfied at the root or swept stay
-  /// unassigned and cost the theory engines nothing.
+  /// Clause occurrence count per variable (theory reasons excluded). A
+  /// variable with no occurrence is unconstrained — the search never
+  /// branches on it, so atoms whose clauses were all satisfied at the
+  /// root stay unassigned and cost the theory engines nothing.
   std::vector<unsigned> VarOcc;
   std::vector<std::vector<Watcher>> Watches; // indexed by Lit.Code
   std::vector<LBool> Assign;
@@ -266,14 +233,6 @@ private:
   std::vector<Var> Heap;
   std::vector<int> HeapPos; // var -> index in Heap, or -1
   double VarInc = 1.0;
-  double ClaInc = 1.0;
-
-  bool ClauseDeletionEnabled = true;
-  unsigned NumLearnedLive = 0;
-  /// Learned-set size that triggers the next reduceDB() sweep; grows 1.2x
-  /// per sweep so deletion of regenerable theory lemmas cannot livelock
-  /// the search.
-  unsigned MaxLearned = 2048;
 
   /// A refutation was derived; every later solve() answers Unsat.
   bool Unsat = false;
@@ -283,8 +242,6 @@ private:
   uint64_t Propagations = 0;
   uint64_t TheoryConflicts = 0;
   uint64_t Restarts = 0;
-  uint64_t LemmasDeleted = 0;
-  uint64_t ReduceDbSweeps = 0;
 
   // Theory propagation state.
   bool TheoryPropEnabled = false;

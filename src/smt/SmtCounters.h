@@ -33,8 +33,6 @@ struct SmtCounters {
   trace::Counter &ArrayLemmas = trace::counter("smt.array_lemmas");
   trace::Counter &AssertsReused = trace::counter("smt.theory_asserts_reused");
   trace::Counter &MaxAtoms = trace::counter("smt.max_atoms");
-  trace::Counter &LemmasDeleted = trace::counter("smt.lemmas_deleted");
-  trace::Counter &ReduceDbSweeps = trace::counter("smt.reduce_db_sweeps");
   trace::Counter &Restarts = trace::counter("smt.restarts");
   trace::Counter &TheoryPropagations =
       trace::counter("smt.theory_propagations");

@@ -24,17 +24,13 @@ Solver::Result Solver::checkSat(TermRef Formula) {
 }
 
 Solver::Result Solver::solve(TermRef Formula) {
-  Core.Sat.setClauseDeletion(Core.Opts.ClauseDeletion);
-  if (Core.Opts.ReduceDbLimit)
-    Core.Sat.setReduceDbLimit(Core.Opts.ReduceDbLimit);
   TermManager &TM = Core.TM;
   // A Sat answer is only as good as the instantiation behind it.
   bool CompleteInst = true;
   if (TM.containsQuantifier(Formula)) {
     assert(Core.Opts.AllowQuantifiers &&
            "quantifier encountered in quantifier-free mode");
-    QuantInstResult QR = instantiateQuantifiers(
-        TM, Formula, Core.Opts.QuantRounds, Core.Opts.MaxInstPerQuant);
+    QuantInstResult QR = instantiateQuantifiers(TM, Formula);
     Formula = QR.Formula;
     CompleteInst = QR.Complete;
     Core.St.Instantiations = QR.NumInstantiations;

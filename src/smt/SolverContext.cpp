@@ -21,10 +21,7 @@ SolverContext::SolverContext(TermManager &TM, SolverOptions O)
          "SolverContext is quantifier-free only");
   assert(!Core.Opts.EagerArrayInstantiation &&
          "the blind array product is a one-shot reference only");
-  Core.Sat.setClauseDeletion(Core.Opts.ClauseDeletion);
   Core.Sat.setTheoryPropagation(Core.Opts.TheoryPropagation);
-  if (Core.Opts.ReduceDbLimit)
-    Core.Sat.setReduceDbLimit(Core.Opts.ReduceDbLimit);
 }
 
 SolverContext::~SolverContext() = default;

@@ -40,11 +40,6 @@ struct SolverOptions {
   /// "Dafny-style" encoding of RQ3). Off by default: QF-mode asserts
   /// quantifier-freeness, mirroring the paper's cross-check.
   bool AllowQuantifiers = false;
-  unsigned QuantRounds = 2;
-  unsigned MaxInstPerQuant = 2048;
-  /// Iterations of model repair (index-collision separation) before
-  /// giving up on the query (SolverResult::Unknown).
-  unsigned MaxModelRepairIters = 8;
   /// Resource budget: give up (SolverResult::Unknown) after this many
   /// theory checks per check call. 0 means unlimited. Exhaustion is
   /// reported explicitly — bounded resources, not unpredictable
@@ -56,21 +51,12 @@ struct SolverOptions {
   /// the demand closure. The fuzz differentials use it as their
   /// reference; a SolverContext always asserts the demand closure alone.
   bool EagerArrayInstantiation = false;
-  /// Activity-based deletion of cold learned clauses (reduceDB) in the
-  /// SAT core. On by default; --no-reduce-db is the differential
-  /// baseline.
-  bool ClauseDeletion = true;
   /// DPLL(T) theory propagation in a SolverContext: assert atoms
   /// entailed by the partial trail (CC equality watches, arithmetic bound
   /// watches) instead of waiting for a full propositional model. On by
   /// default; --no-theory-prop is the differential baseline and restores
   /// the purely lazy full-model behavior bit for bit.
   bool TheoryPropagation = true;
-  /// Initial learned-set size that triggers a reduceDB sweep; 0 keeps
-  /// the SAT core's default. Tests force frequent sweeps on small
-  /// instances with a tiny limit (the limit still grows per sweep, so
-  /// search stays terminating).
-  unsigned ReduceDbLimit = 0;
 };
 
 struct SolverStats {

@@ -72,8 +72,6 @@ void SolverCore::recordCheck() const {
   TC.AssertsReused.add(St.TheoryAssertsReused);
   TC.CcRegistrationsReused.add(St.CcRegistrationsReused);
   TC.MaxAtoms.recordMax(St.NumAtoms);
-  TC.LemmasDeleted.add(Sat.numLemmasDeleted());
-  TC.ReduceDbSweeps.add(Sat.numReduceDbSweeps());
   TC.Restarts.add(Sat.numRestarts());
   TC.TheoryPropagations.add(Sat.numTheoryPropagations());
   TC.PropagationConflicts.add(Sat.numTheoryPropConflicts());
@@ -163,6 +161,9 @@ constexpr int SeparationTag = -7;
 /// Tag for the definition `v = p` of a composite index's variable. It
 /// holds in every model, so dropping it from an explanation is sound.
 constexpr int DefinitionTag = -8;
+/// Rounds of model repair (index-collision separation) before the query
+/// gives up (SolverResult::Unknown).
+constexpr unsigned MaxModelRepairIters = 8;
 } // namespace ids::smt
 
 TheoryEngine::TheoryEngine(SolverCore &C, bool Persistent)
@@ -995,7 +996,7 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
     return true;
 
   // Model construction with index-collision repair.
-  for (unsigned Iter = 0; Iter <= C.Opts.MaxModelRepairIters; ++Iter) {
+  for (unsigned Iter = 0; Iter <= MaxModelRepairIters; ++Iter) {
     buildModel();
     Value V = C.CurrentModel.eval(C.EvalFormula);
     if (V.K == Value::Kind::Bool && V.B)

@@ -3,8 +3,7 @@
 # EVERY golden directory passed (GOLDEN_DIRS, separated by `|` or `;`,
 # or the single GOLDEN_DIR), and each golden file must correspond to a
 # listed benchmark — a newly registered benchmark without goldens in all
-# five e2e modes (default, nopipe, noincr, noreducedb, notheoryprop)
-# fails this test.
+# four e2e modes (default, nopipe, noincr, notheoryprop) fails this test.
 #   cmake -DIDS_VERIFY=<exe> "-DGOLDEN_DIRS=<dir>[|<dir>...]" -P CheckCoverage.cmake
 
 if(NOT DEFINED GOLDEN_DIRS AND DEFINED GOLDEN_DIR)

@@ -45,8 +45,8 @@ endif()
 # One span per stage per obligation: each stage name must appear, and the
 # events must be complete ("ph":"X") with VC-hash attribution on solves.
 foreach(Tag "\"traceEvents\":" "\"ph\":\"X\"" "pipeline.simplify"
-        "pipeline.slice" "pipeline.cache_probe" "pipeline.solve"
-        "driver.proc" "driver.request")
+        "pipeline.cache_probe" "pipeline.solve" "driver.proc"
+        "driver.request")
   string(FIND "${Trace}" "${Tag}" P)
   if(P EQUAL -1)
     message(FATAL_ERROR "trace.json lacks ${Tag}")

@@ -8,7 +8,7 @@
 /// Tests for the pipeline facade: term import across managers, the
 /// structural query cache (intra-batch dedup and cross-call sharing),
 /// parallel dispatch determinism (--jobs), legacy VC split grouping,
-/// and verdict reporting.
+/// one solve per obligation, and verdict reporting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -157,7 +157,6 @@ TEST(QueryCacheTest, UnknownOutcomesAreNotCached) {
 
   Options Starved;
   Starved.Simplify = false;
-  Starved.Slice = false;
   Starved.MaxTheoryChecks = 1;
   QueryCache Cache;
   Result R1 = solveObligations(TM, Obls, Starved, &Cache);
@@ -168,7 +167,6 @@ TEST(QueryCacheTest, UnknownOutcomesAreNotCached) {
 
   Options Full;
   Full.Simplify = false;
-  Full.Slice = false;
   Result R2 = solveObligations(TM, Obls, Full, &Cache);
   EXPECT_EQ(R2.V, Verdict::Proved); // 2v+2w is even, every conjunct odd
   EXPECT_EQ(R2.St.CacheHits, 0u);
@@ -278,7 +276,6 @@ TEST(PipelineTest, UnknownOnBudgetExhaustion) {
       obligation(TM.mkAnd(Conjs), TM.mkFalse(), "parity")};
   Options Opts;
   Opts.Simplify = false;
-  Opts.Slice = false;
   Opts.MaxTheoryChecks = 1;
   Result R = solveObligations(TM, Obls, Opts, nullptr);
   // Either the solver decides it within one theory check (it is Unsat:
@@ -317,6 +314,77 @@ TEST(PipelineTest, ContextAndOneShotSolvesAgree) {
         << "incremental=" << Incremental;
     EXPECT_FALSE(R.Counterexample.empty());
   }
+}
+
+TEST(PipelineTest, InfeasibleUnrelatedGuardProvesInOneSolve) {
+  // Guard: u <= 5 /\ 6 <= u is infeasible and shares no symbol with the
+  // claim x <= y, which is not valid on its own. The query is the whole
+  // obligation, so its one solve proves it vacuously.
+  TermManager TM;
+  TermRef U = TM.mkVar("u", TM.intSort());
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  std::vector<vcgen::Obligation> Obls = {obligation(
+      TM.mkAnd(TM.mkLe(U, TM.mkIntConst(5)), TM.mkLe(TM.mkIntConst(6), U)),
+      TM.mkLe(X, Y), "vacuous")};
+  Options Opts;
+  Result R = solveObligations(TM, Obls, Opts, nullptr);
+  EXPECT_EQ(R.V, Verdict::Proved);
+  EXPECT_EQ(R.St.Queries, 1u);
+}
+
+TEST(PipelineTest, FailingObligationFailsInOneSolve) {
+  // The simplifier leaves this obligation as it is (no guard equality to
+  // substitute), so the Sat answer of its one query is the verdict and
+  // the query's model is the counterexample.
+  TermManager TM;
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  TermRef A = TM.mkVar("a", TM.intSort());
+  TermRef B = TM.mkVar("b", TM.intSort());
+  std::vector<vcgen::Obligation> Obls = {
+      obligation(TM.mkAnd(TM.mkLe(X, Y), TM.mkLe(A, B)), TM.mkLe(Y, X),
+                 "bogus")};
+  Options Opts;
+  Result R = solveObligations(TM, Obls, Opts, nullptr);
+  EXPECT_EQ(R.V, Verdict::Failed);
+  EXPECT_NE(R.FailedDescription.find("bogus"), std::string::npos);
+  EXPECT_FALSE(R.Counterexample.empty());
+  EXPECT_EQ(R.St.Queries, 1u);
+}
+
+TEST(PipelineTest, SimplifiedFailureIsReportedOnTheOriginal) {
+  // The simplifier substitutes the guard equality x == y + 1 away. Its
+  // query is Sat, but its model does not mention x, so the pipeline
+  // re-solves the unsimplified obligation for the counterexample.
+  TermManager TM;
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  std::vector<vcgen::Obligation> Obls = {obligation(
+      TM.mkEq(X, TM.mkAdd({Y, TM.mkIntConst(1)})), TM.mkLe(X, Y), "off")};
+  Options Opts;
+  Result R = solveObligations(TM, Obls, Opts, nullptr);
+  EXPECT_EQ(R.V, Verdict::Failed);
+  EXPECT_EQ(R.St.Queries, 2u);
+  EXPECT_NE(R.Counterexample.find("x"), std::string::npos)
+      << R.Counterexample;
+}
+
+TEST(PipelineTest, QuantifierInQfModeIsReportedUnsolved) {
+  // Without AllowQuantifiers every obligation is checked to be
+  // quantifier-free before it is simplified or solved.
+  TermManager TM;
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  TermRef Z = TM.mkVar("z", TM.intSort());
+  std::vector<vcgen::Obligation> Obls = {obligation(
+      TM.mkForall({X}, TM.mkLe(X, Y)), TM.mkLe(Y, Z), "leaked")};
+  Options Opts;
+  Result R = solveObligations(TM, Obls, Opts, nullptr);
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_NE(R.FailedDescription.find("quantifier leaked"), std::string::npos)
+      << R.FailedDescription;
+  EXPECT_EQ(R.St.Queries, 0u);
 }
 
 TEST(PipelineTest, ProvedBySimplifyskipsSolver) {

@@ -13,7 +13,7 @@
 ///     verdict (decided answers may not flip between the original and
 ///     simplified formula), and
 ///  2. random obligations pushed through the full pipeline
-///     (simplify + slice + cache + scheduler) must agree with a direct
+///     (simplify + cache + scheduler) must agree with a direct
 ///     solver call on Guard /\ !Claim.
 ///
 //===----------------------------------------------------------------------===//
@@ -217,7 +217,7 @@ void runRewriteDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
   }
 }
 
-/// Full pipeline (simplify + slice + cache + scheduler) vs direct solve
+/// Full pipeline (simplify + cache + scheduler) vs direct solve
 /// of Guard /\ !Claim on random obligations.
 void runPipelineDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
                              unsigned &Decided) {

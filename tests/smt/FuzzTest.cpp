@@ -141,20 +141,6 @@ Solver::Options fuzzOpts() {
   return Opts;
 }
 
-TEST(SmtFuzzTest, DeletionDifferential) {
-  // Clause deletion stressed with a tiny reduceDB trigger (sweeps fire
-  // on instances this small only because of it) against the
-  // deletion-free baseline: learned-clause deletion must never flip a
-  // verdict.
-  Solver::Options Stressed = fuzzOpts();
-  Stressed.ReduceDbLimit = 4;
-  Solver::Options Baseline = fuzzOpts();
-  Baseline.ClauseDeletion = false;
-  unsigned Decided = runConfigDifferential(/*Seed=*/0xDE1E7E, /*Iters=*/250,
-                                           /*Depth=*/4, Stressed, Baseline);
-  EXPECT_GT(Decided, 150u);
-}
-
 TEST(SmtFuzzTest, EagerInstantiationDifferential) {
   // Blind quadratic array instantiation against the relevancy-driven
   // default — the two one-shot array strategies must agree.

@@ -11,8 +11,8 @@
 /// a fresh context, checks it once, and cross-checks the verdict against
 /// a one-shot solve of the active conjunction. A Sat-vs-Unsat disagreement
 /// is a soundness bug in the context (persistent theory trails, theory
-/// propagation, learned-clause deletion, or the incremental array
-/// reducer across several assertions); Sat models are additionally
+/// propagation, or the incremental array reducer across several
+/// assertions); Sat models are additionally
 /// validated against the active conjunction.
 ///
 //===----------------------------------------------------------------------===//
@@ -168,16 +168,13 @@ TEST(IncrFuzzTest, DifferentialArrayHeavy) {
   EXPECT_GT(C.Checks, 100u);
 }
 
-// The context's array demand closure and clause deletion,
-// each checked against the most conservative one-shot reference (blind
-// eager array instantiation, no clause deletion) — the configuration the
-// earlier goldens were recorded with.
+// The context's array demand closure, checked against the most
+// conservative one-shot reference (blind eager array instantiation).
 
 TEST(IncrFuzzTest, DifferentialDemandClosure) {
   SolverOptions Ctx;
   SolverOptions Ref;
   Ref.EagerArrayInstantiation = true;
-  Ref.ClauseDeletion = false;
   SeqCounts C = runIncrementalDifferential(/*Seed=*/0x5EED4, /*Sequences=*/80,
                                            /*OpsPerSequence=*/14,
                                            /*Depth=*/4, Ctx, Ref);
@@ -201,17 +198,3 @@ TEST(IncrFuzzTest, DifferentialTheoryProp) {
   EXPECT_GT(C.Checks, 150u);
 }
 
-TEST(IncrFuzzTest, DifferentialDeletionStress) {
-  // A tiny reduceDB trigger forces sweeps on every nontrivial search, so
-  // learned-clause deletion is actually exercised at fuzz scale.
-  SolverOptions Ctx;
-  Ctx.ReduceDbLimit = 4;
-  SolverOptions Ref;
-  Ref.EagerArrayInstantiation = true;
-  Ref.ClauseDeletion = false;
-  SeqCounts C = runIncrementalDifferential(/*Seed=*/0x5EED5, /*Sequences=*/80,
-                                           /*OpsPerSequence=*/14,
-                                           /*Depth=*/3, Ctx, Ref);
-  EXPECT_EQ(C.Mismatches, 0u);
-  EXPECT_GT(C.Checks, 150u);
-}
