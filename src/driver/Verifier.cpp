@@ -9,20 +9,28 @@
 #include "driver/VerifierInstance.h"
 #include "lang/Parser.h"
 #include "lang/TypeCheck.h"
+#include "support/Trace.h"
 
 using namespace ids;
 using namespace ids::driver;
 
 std::unique_ptr<lang::Module> driver::frontEnd(const std::string &Source,
                                                DiagEngine &Diags) {
-  std::unique_ptr<lang::Module> M = lang::parseModule(Source, Diags);
+  std::unique_ptr<lang::Module> M;
+  {
+    trace::ScopedSpan Sp("lang.parse");
+    M = lang::parseModule(Source, Diags);
+  }
   if (!M)
     return nullptr;
-  if (!lang::typeCheck(*M, Diags))
-    return nullptr;
-  if (!lang::checkGhostDiscipline(*M, Diags))
-    return nullptr;
-  if (!lang::checkWellBehaved(*M, Diags))
+  {
+    trace::ScopedSpan Sp("lang.typecheck");
+    if (!lang::typeCheck(*M, Diags))
+      return nullptr;
+  }
+  trace::ScopedSpan Sp("lang.checks");
+  if (!lang::checkGhostDiscipline(*M, Diags) ||
+      !lang::checkWellBehaved(*M, Diags))
     return nullptr;
   return M;
 }

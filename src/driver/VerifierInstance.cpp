@@ -255,7 +255,11 @@ ModuleResult VerifierInstance::verify(const std::string &Source,
       trace::ScopedSpan ISp("driver.impact");
       auto IStart = std::chrono::steady_clock::now();
       smt::TermManager TM;
-      vcgen::ProcVc Vc = vcgen::generateImpactVc(TM, *M, I);
+      vcgen::ProcVc Vc;
+      {
+        trace::ScopedSpan VSp("vcgen");
+        Vc = vcgen::generateImpactVc(TM, *M, I);
+      }
       ProcKey K = keyOf(TM, Vc.Obligations);
       ProcVerdict PV;
       pipeline::Options POpts = POptsBase;
@@ -303,7 +307,11 @@ ModuleResult VerifierInstance::verify(const std::string &Source,
     vcgen::VcOptions VOpts;
     VOpts.QuantifiedMode = Opts.QuantifiedMode;
     VOpts.CheckFrames = Opts.CheckFrames;
-    vcgen::ProcVc Vc = vcgen::generateVc(TM, *M, P, VOpts);
+    vcgen::ProcVc Vc;
+    {
+      trace::ScopedSpan VSp("vcgen");
+      Vc = vcgen::generateVc(TM, *M, P, VOpts);
+    }
     PR.NumObligations = static_cast<unsigned>(Vc.Obligations.size());
     ProcKey K = keyOf(TM, Vc.Obligations);
     ProcVerdict PV;

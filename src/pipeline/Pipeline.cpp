@@ -89,7 +89,34 @@ void Stats::merge(const Stats &O) {
 
 namespace {
 
-/// Solves batches of queries with dedup, caching and parallel dispatch
+/// One obligation after Stage 1.
+struct Prepared {
+  TermRef Query = nullptr; ///< negated obligation, simplified
+  TermRef Orig = nullptr;  ///< the unsimplified negated obligation
+  bool Proved = false;     ///< discharged by the simplifier
+  /// Guard equalities the simplifier substituted away, in order.
+  std::vector<Elimination> Eliminated;
+};
+
+/// One solver query: a single obligation, or a `--splits` group whose
+/// query is the disjunction of its members' queries.
+struct Unit {
+  TermRef MainQuery;
+  std::vector<size_t> Members;
+};
+
+constexpr size_t NoMember = ~size_t(0);
+
+/// What one solve of a unit's query says.
+struct Answer {
+  QueryCache::Outcome O; ///< raw outcome, a Sat one with the query's model
+  /// The obligation a Sat outcome refutes, with its counterexample;
+  /// NoMember when the model did not extend to one.
+  size_t Failing = NoMember;
+  std::string Counterexample;
+};
+
+/// Solves batches of units with dedup, caching and parallel dispatch
 /// through the JobManager thread pool. Queries are terms of the
 /// caller's manager, which must stay FROZEN for the duration of solve():
 /// every solve happens in a private snapshot-overlay manager that shares
@@ -97,13 +124,15 @@ namespace {
 /// per-task full-formula TermManager::import copy is gone.
 class BatchSolver {
 public:
-  BatchSolver(const TermManager &TM, const Options &Opts, QueryCache *Cache,
+  BatchSolver(const TermManager &TM, const Options &Opts,
+              const std::vector<Prepared> &Prep, QueryCache *Cache,
               Stats &St)
-      : TM(TM), Opts(Opts), Cache(Opts.Cache ? Cache : nullptr), St(St) {}
+      : TM(TM), Opts(Opts), Prep(Prep), Cache(Opts.Cache ? Cache : nullptr),
+        St(St) {}
 
-  std::vector<QueryCache::Outcome> solve(const std::vector<TermRef> &Queries) {
-    size_t N = Queries.size();
-    std::vector<QueryCache::Outcome> Out(N);
+  std::vector<Answer> solve(const std::vector<Unit> &Units) {
+    size_t N = Units.size();
+    std::vector<Answer> Out(N);
     std::vector<size_t> RunList;
     std::vector<std::pair<size_t, size_t>> Dups; // (dup index, owner index)
     std::vector<QueryCache::Key> Keys(N);
@@ -111,15 +140,16 @@ public:
       std::unordered_map<QueryCache::Key, size_t, QueryCache::KeyHash> Owner;
       for (size_t I = 0; I < N; ++I) {
         trace::ScopedSpan Sp("pipeline.cache_probe");
-        Keys[I] = QueryCache::keyFor(Queries[I]);
+        Keys[I] = QueryCache::keyFor(Units[I].MainQuery);
         if (Sp.active()) {
           Sp.arg("proc", Opts.TraceLabel);
-          Sp.arg("vc", vcHashHex(Queries[I]));
+          Sp.arg("vc", vcHashHex(Units[I].MainQuery));
         }
-        if (Cache && Cache->lookup(Keys[I], Out[I])) {
+        if (Cache && Cache->lookup(Keys[I], Out[I].O,
+                                   !modelIsCounterexample(Units[I]))) {
           if (Sp.active())
             Sp.arg("hit", 1.0);
-          ++St.CacheHits;
+          replay(Units[I], Out[I]);
           continue;
         }
         auto [It, Inserted] = Owner.emplace(Keys[I], I);
@@ -127,7 +157,6 @@ public:
           Dups.emplace_back(I, It->second);
           if (Sp.active())
             Sp.arg("dup", 1.0);
-          ++St.CacheHits;
         } else {
           RunList.push_back(I);
         }
@@ -137,44 +166,81 @@ public:
         RunList.push_back(I);
     }
 
-    // Dispatch: every query is an independent pool task.
-    {
-      jobs::JobManager JM(Opts.Jobs);
-      for (size_t Idx : RunList)
-        JM.submit([this, &Queries, &Out, Idx] {
-          Out[Idx] = runQuery(Queries[Idx]);
-        });
-      JM.wait();
-    }
-
-    St.Queries += static_cast<unsigned>(RunList.size());
+    run(Units, RunList, Out);
     for (size_t Idx : RunList) {
-      St.TotalAtoms += Out[Idx].NumAtoms;
-      St.TotalArrayLemmas += Out[Idx].NumArrayLemmas;
       // Only definitive outcomes (Sat/Unsat) are cacheable: an Unknown
       // earned under this run's budget/timeout must never answer a later
       // solve of the same query under a larger budget. (QueryCache
       // rejects Unknowns itself too; the guard here keeps the intent at
       // the call site. In-batch duplicate sharing above is unaffected —
       // duplicates within one solve() ran under identical budgets.)
-      if (Cache && Out[Idx].R != Solver::Result::Unknown)
-        Cache->insert(Keys[Idx], Out[Idx]);
+      if (Cache && Out[Idx].O.R != Solver::Result::Unknown)
+        Cache->insert(Keys[Idx], Out[Idx].O);
     }
-    for (auto [Dup, OwnerIdx] : Dups)
-      Out[Dup] = Out[OwnerIdx];
-    for (const QueryCache::Outcome &O : Out) {
-      St.MaxAtoms = std::max(St.MaxAtoms, O.NumAtoms);
-      St.MaxArrayLemmas = std::max(St.MaxArrayLemmas, O.NumArrayLemmas);
+    // A duplicate shares its owner's outcome, except a Sat one whose
+    // model is not the duplicate's counterexample: that query is solved
+    // again, for the duplicate's own obligation.
+    std::vector<size_t> ReRun;
+    for (auto [Dup, OwnerIdx] : Dups) {
+      if (Out[OwnerIdx].O.R == Solver::Result::Sat &&
+          !modelIsCounterexample(Units[Dup])) {
+        ReRun.push_back(Dup);
+        continue;
+      }
+      Out[Dup].O = Out[OwnerIdx].O;
+      replay(Units[Dup], Out[Dup]);
+    }
+    run(Units, ReRun, Out);
+    for (const Answer &A : Out) {
+      St.MaxAtoms = std::max(St.MaxAtoms, A.O.NumAtoms);
+      St.MaxArrayLemmas = std::max(St.MaxArrayLemmas, A.O.NumArrayLemmas);
     }
     return Out;
   }
 
 private:
-  /// One solve of \p Query. Quantifier-free queries get a fresh
+  /// Whether a model of \p U's query is its counterexample as it is (a
+  /// single obligation the simplifier left unchanged). Only then does a
+  /// Sat outcome replay; elsewhere the query is solved again.
+  bool modelIsCounterexample(const Unit &U) const {
+    return U.Members.size() == 1 &&
+           Prep[U.Members[0]].Query == Prep[U.Members[0]].Orig;
+  }
+
+  /// Counts a cached or duplicate outcome as a hit. A Sat one replays
+  /// only where modelIsCounterexample, so it refutes the unit's single
+  /// obligation.
+  void replay(const Unit &U, Answer &A) {
+    ++St.CacheHits;
+    if (A.O.R == Solver::Result::Sat) {
+      A.Failing = U.Members[0];
+      A.Counterexample = A.O.ModelText;
+    }
+  }
+
+  /// Solves the units \p List names: every query is an independent pool
+  /// task.
+  void run(const std::vector<Unit> &Units, const std::vector<size_t> &List,
+           std::vector<Answer> &Out) {
+    {
+      jobs::JobManager JM(Opts.Jobs);
+      for (size_t Idx : List)
+        JM.submit(
+            [this, &Units, &Out, Idx] { Out[Idx] = runQuery(Units[Idx]); });
+      JM.wait();
+    }
+    St.Queries += static_cast<unsigned>(List.size());
+    for (size_t Idx : List) {
+      St.TotalAtoms += Out[Idx].O.NumAtoms;
+      St.TotalArrayLemmas += Out[Idx].O.NumArrayLemmas;
+    }
+  }
+
+  /// One solve of \p U's query. Quantifier-free queries get a fresh
   /// SolverContext holding the query as its single assertion;
   /// --no-incremental and the quantified encoding use the one-shot
   /// reference Solver.
-  QueryCache::Outcome solveOne(TermRef Query) {
+  Answer solveOne(const Unit &U) {
     // Snapshot overlay over the frozen base manager: the query term is
     // directly valid in the overlay's view, so there is no per-task
     // formula copy — the solver's own delta (CNF literals, lemma terms)
@@ -184,36 +250,73 @@ private:
     SOpts.AllowQuantifiers = Opts.AllowQuantifiers;
     SOpts.MaxTheoryChecks = Opts.MaxTheoryChecks;
     SOpts.TimeoutSeconds = Opts.QueryTimeoutSeconds;
-    QueryCache::Outcome O;
+    Answer A;
     if (Opts.Incremental && !Opts.AllowQuantifiers) {
       SOpts.TheoryPropagation = Opts.TheoryProp;
       SolverContext Ctx(Local, SOpts);
-      Ctx.assertTerm(Query);
-      O.R = Ctx.checkSat();
-      O.NumAtoms = Ctx.stats().NumAtoms;
-      O.NumArrayLemmas = Ctx.numArrayLemmas();
-      O.Why = Ctx.stats().Why;
-      if (O.R == Solver::Result::Sat)
-        O.ModelText = Ctx.model().toString();
-      return O;
+      Ctx.assertTerm(U.MainQuery);
+      A.O.R = Ctx.checkSat();
+      A.O.NumAtoms = Ctx.stats().NumAtoms;
+      A.O.NumArrayLemmas = Ctx.numArrayLemmas();
+      A.O.Why = Ctx.stats().Why;
+      if (A.O.R == Solver::Result::Sat)
+        refute(U, Ctx.model(), A);
+      return A;
     }
     Solver S(Local, SOpts);
-    O.R = S.checkSat(Query);
-    O.NumAtoms = S.stats().NumAtoms;
-    O.NumArrayLemmas = S.stats().ArrayStats.NumLemmas;
-    O.Why = S.stats().Why;
-    if (O.R == Solver::Result::Sat)
-      O.ModelText = S.model().toString();
-    return O;
+    A.O.R = S.checkSat(U.MainQuery);
+    A.O.NumAtoms = S.stats().NumAtoms;
+    A.O.NumArrayLemmas = S.stats().ArrayStats.NumLemmas;
+    A.O.Why = S.stats().Why;
+    if (A.O.R == Solver::Result::Sat)
+      refute(U, S.model(), A);
+    return A;
   }
 
-  QueryCache::Outcome runQuery(TermRef Query) {
+  /// Turns \p M, a model of \p U's query, into the counterexample of
+  /// the first member whose query it satisfies: extended through that
+  /// member's eliminated equalities, it must satisfy the unsimplified
+  /// obligation (the solver's own safety net). Runs in the solve task,
+  /// while the model's overlay terms are alive.
+  void refute(const Unit &U, const Model &M, Answer &A) const {
+    A.O.ModelText = M.toString();
+    if (modelIsCounterexample(U)) {
+      A.Failing = U.Members[0];
+      A.Counterexample = A.O.ModelText;
+      return;
+    }
+    for (size_t Idx : U.Members) {
+      const Prepared &P = Prep[Idx];
+      if (U.Members.size() > 1 && !holds(M, P.Query))
+        continue;
+      Model Ext = M;
+      extendModel(Ext, P.Eliminated, P.Orig);
+      if (holds(Ext, P.Orig)) {
+        A.Failing = Idx;
+        A.Counterexample = Ext.toString();
+      }
+      return;
+    }
+  }
+
+  /// Whether \p F evaluates to true under \p M. A model cannot evaluate
+  /// a quantifier, so a quantified formula never holds: a Sat group
+  /// chooses among its quantifier-free members only, and a quantified
+  /// obligation the simplifier rewrote reports unknown.
+  bool holds(const Model &M, TermRef F) const {
+    if (Opts.AllowQuantifiers && TM.containsQuantifier(F))
+      return false;
+    Value V = M.evaluate(F);
+    return V.K == Value::Kind::Bool && V.B;
+  }
+
+  Answer runQuery(const Unit &U) {
     trace::ScopedSpan Sp("pipeline.solve");
     const uint64_t T0 = trace::nowUs();
-    QueryCache::Outcome O = solveOne(Query);
-    finishQuerySpan(Sp, Query, O);
-    maybeRecordSlow(Query, double(trace::nowUs() - T0) / 1e6, O);
-    return O;
+    Answer A = solveOne(U);
+    finishQuerySpan(Sp, U.MainQuery, A.O);
+    maybeRecordSlow(U.MainQuery, double(trace::nowUs() - T0) / 1e6, A.O);
+    return A;
   }
 
   static const char *verdictName(Solver::Result R) {
@@ -266,6 +369,7 @@ private:
   /// shared read-only base every per-task overlay snapshots from.
   const TermManager &TM;
   const Options &Opts;
+  const std::vector<Prepared> &Prep;
   QueryCache *Cache;
   Stats &St;
 };
@@ -287,14 +391,8 @@ pipeline::Result pipeline::solveObligations(
     return R;
 
   // ---- Stage 1: simplify each obligation. ----
-  struct Prepared {
-    TermRef Query = nullptr; ///< negated obligation, simplified
-    TermRef Orig = nullptr;  ///< the unsimplified negated obligation
-    bool Proved = false;     ///< discharged by the simplifier
-  };
   std::vector<Prepared> Prep(Obls.size());
   Simplifier Simp(TM);
-  SimplifyStats SimpStats;
   for (size_t I = 0; I < Obls.size(); ++I) {
     TermRef Guard = Obls[I].Guard;
     TermRef Claim = Obls[I].Claim;
@@ -314,22 +412,18 @@ pipeline::Result pipeline::solveObligations(
         Sp.arg("proc", Opts.TraceLabel);
         Sp.arg("vc", vcHashHex(Prep[I].Orig));
       }
-      Simplified =
-          Opts.Simplify && Simp.simplifyObligation(Guard, Claim, &SimpStats);
+      Simplified = Opts.Simplify &&
+                   Simp.simplifyObligation(Guard, Claim, &Prep[I].Eliminated);
     }
     if (Simplified) {
       Prep[I].Proved = true;
+      ++R.St.ProvedBySimplify;
       continue;
     }
     Prep[I].Query = TM.mkAnd(Guard, TM.mkNot(Claim));
   }
-  R.St.ProvedBySimplify = SimpStats.ProvedTrivially;
 
   // ---- Stage 2: form query units (per obligation, or legacy groups). ----
-  struct Unit {
-    TermRef MainQuery;
-    std::vector<size_t> Members;
-  };
   std::vector<Unit> Units;
   std::vector<size_t> Unproved;
   for (size_t I = 0; I < Obls.size(); ++I)
@@ -354,111 +448,51 @@ pipeline::Result pipeline::solveObligations(
     }
   }
 
-  // ---- Stage 3: solve the main queries. ----
-  // Every query term (main, and the Stage-4 resolution queries, which
-  // reuse the Stage-1 originals) is already built: freeze the manager so
-  // worker tasks can share it read-only through snapshot overlays. The
-  // guard thaws on every exit path — callers reuse the manager across
+  // ---- Stage 3: solve the units; a Sat becomes its counterexample. ----
+  // Every query term is already built: freeze the manager so worker
+  // tasks can share it read-only through snapshot overlays. The guard
+  // thaws on every exit path — callers reuse the manager across
   // solveObligations calls.
   struct FreezeGuard {
     TermManager &TM;
     explicit FreezeGuard(TermManager &TM) : TM(TM) { TM.freeze(); }
     ~FreezeGuard() { TM.thaw(); }
   } Freeze{TM};
-  BatchSolver Batch(TM, Opts, Cache, R.St);
-  std::vector<TermRef> MainQueries;
-  MainQueries.reserve(Units.size());
-  for (const Unit &U : Units)
-    MainQueries.push_back(U.MainQuery);
-  std::vector<QueryCache::Outcome> MainOut = Batch.solve(MainQueries);
+  BatchSolver Batch(TM, Opts, Prep, Cache, R.St);
+  std::vector<Answer> Answers = Batch.solve(Units);
 
-  // ---- Stage 4: resolve Sat units against the original obligations. ----
-  // A Sat answer is final for a single-obligation query that is still
-  // the original. A group model does not name the failing member, and a
-  // query the simplifier rewrote is only equisatisfiable with the
-  // original: its model lacks the symbols that guard-equality
-  // substitution eliminated. Re-checking each unsimplified obligation
-  // settles both.
-  std::vector<TermRef> ResQueries;
-  std::unordered_map<size_t, size_t> ResIdx; // obligation -> res query index
+  // ---- Stage 4: per-obligation verdicts, first failure reported. ----
+  // Each obligation's deciding answer, null when proved. An Unknown, or
+  // a Sat model that did not extend to a counterexample, leaves every
+  // member of its unit unknown.
+  std::vector<const Answer *> Decided(Obls.size(), nullptr);
   for (size_t U = 0; U < Units.size(); ++U) {
-    if (MainOut[U].R != Solver::Result::Sat)
-      continue;
-    const Unit &Un = Units[U];
-    if (Un.Members.size() == 1 &&
-        Prep[Un.Members[0]].Query == Prep[Un.Members[0]].Orig)
-      continue; // untransformed single query: Sat is a real counterexample
-    for (size_t M : Un.Members) {
-      ResIdx.emplace(M, ResQueries.size());
-      ResQueries.push_back(Prep[M].Orig);
-    }
+    const Answer &A = Answers[U];
+    if (A.Failing != NoMember)
+      Decided[A.Failing] = &A;
+    else if (A.O.R != Solver::Result::Unsat)
+      for (size_t M : Units[U].Members)
+        Decided[M] = &A;
   }
-  std::vector<QueryCache::Outcome> ResOut = Batch.solve(ResQueries);
-
-  // ---- Stage 5: per-obligation verdicts, first failure reported. ----
-  enum class OV { Proved, Failed, Unknown };
-  std::vector<OV> V(Obls.size(), OV::Proved);
-  std::vector<UnknownReason> Why(Obls.size(), UnknownReason::None);
-  std::unordered_map<size_t, std::string> Models;
-  bool GroupNoWitness = false;
-  for (size_t U = 0; U < Units.size(); ++U) {
-    const Unit &Un = Units[U];
-    const QueryCache::Outcome &O1 = MainOut[U];
-    if (O1.R == Solver::Result::Unsat)
-      continue;
-    if (O1.R == Solver::Result::Unknown) {
-      for (size_t M : Un.Members) {
-        V[M] = OV::Unknown;
-        Why[M] = O1.Why;
-      }
-      continue;
-    }
-    if (Un.Members.size() == 1 &&
-        Prep[Un.Members[0]].Query == Prep[Un.Members[0]].Orig) {
-      V[Un.Members[0]] = OV::Failed;
-      Models[Un.Members[0]] = O1.ModelText;
-      continue;
-    }
-    bool AnySat = false, AnyUnknown = false;
-    for (size_t M : Un.Members) {
-      const QueryCache::Outcome &O2 = ResOut[ResIdx[M]];
-      if (O2.R == Solver::Result::Sat) {
-        V[M] = OV::Failed;
-        Models[M] = O2.ModelText;
-        AnySat = true;
-      } else if (O2.R == Solver::Result::Unknown) {
-        V[M] = OV::Unknown;
-        Why[M] = O2.Why;
-        AnyUnknown = true;
-      }
-    }
-    // Every member refuted on its original form although the unit was
-    // Sat: the simplifier preserves satisfiability, so this is an
-    // internal inconsistency.
-    if (!AnySat && !AnyUnknown)
-      GroupNoWitness = true;
-  }
-
   for (size_t I = 0; I < Obls.size(); ++I) {
-    if (V[I] != OV::Failed)
+    if (!Decided[I] || Decided[I]->Failing != I)
       continue;
     R.V = Verdict::Failed;
     R.FailedDescription =
         Obls[I].Description + " (at " + Obls[I].Loc.toString() + ")";
-    R.Counterexample = Models[I];
-    return R;
-  }
-  if (GroupNoWitness) {
-    R.V = Verdict::Failed;
-    R.FailedDescription = "obligation group failed but no single witness found";
+    R.Counterexample = Decided[I]->Counterexample;
     return R;
   }
   for (size_t I = 0; I < Obls.size(); ++I) {
-    if (V[I] != OV::Unknown)
+    if (!Decided[I])
       continue;
+    const QueryCache::Outcome &O = Decided[I]->O;
     R.V = Verdict::Unknown;
-    R.FailedDescription = Obls[I].Description + " (at " +
-                          Obls[I].Loc.toString() + "): " + describe(Why[I]);
+    R.FailedDescription =
+        Obls[I].Description + " (at " + Obls[I].Loc.toString() +
+        "): " +
+        describe(O.R == Solver::Result::Sat ? UnknownReason::ModelIncomplete
+                                            : O.Why);
     return R;
   }
   return R;

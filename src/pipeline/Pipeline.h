@@ -12,9 +12,11 @@
 /// Each task solves its query on a fresh SolverContext, the query as its
 /// single assertion, in a snapshot overlay of the (frozen) caller
 /// TermManager, so workers share the read-mostly term structure and pay
-/// only for their own delta. Every stage is independently disableable
-/// (`--no-simp`, `--no-cache`, `--jobs 1`) so the transforms can be
-/// tested differentially.
+/// only for their own delta. The same task turns a Sat model into the
+/// counterexample of the unsimplified obligation (extendModel in
+/// Simplify.h): no obligation is solved twice. Every stage is
+/// independently disableable (`--no-simp`, `--no-cache`, `--jobs 1`) so
+/// the transforms can be tested differentially.
 ///
 /// This replaces the driver's former monolithic conjoin-and-refute loop:
 /// per-obligation queries are exactly the independently decidable units
@@ -51,7 +53,10 @@ struct Options {
   unsigned Jobs = 0;
   /// Legacy grouping: partition obligations round-robin into this many
   /// disjunctive queries (the paper's Boogie-style VC splitting). 0, the
-  /// default, solves one query per obligation.
+  /// default, solves one query per obligation. A Sat group refutes its
+  /// first member whose query the group model satisfies, so with
+  /// several failing members in one group the reported obligation can
+  /// differ from the one a VcSplits = 0 run reports.
   unsigned VcSplits = 0;
   /// Forwarded solver options. Without AllowQuantifiers every
   /// obligation is cross-checked to be quantifier-free first.

@@ -35,7 +35,7 @@ QueryCache::~QueryCache() {
     fclose(Append);
 }
 
-bool QueryCache::lookup(const Key &K, Outcome &Out) const {
+bool QueryCache::lookup(const Key &K, Outcome &Out, bool UnsatOnly) const {
   static trace::Counter &Lookups = trace::counter("cache.query_lookups");
   static trace::Counter &Hits = trace::counter("cache.query_hits");
   static trace::Counter &DiskHits = trace::counter("cache.query_disk_hits");
@@ -43,7 +43,8 @@ bool QueryCache::lookup(const Key &K, Outcome &Out) const {
   ++Stats.Lookups;
   Lookups.add();
   auto It = Map.find(K);
-  if (It == Map.end())
+  if (It == Map.end() ||
+      (UnsatOnly && It->second.O.R == smt::Solver::Result::Sat))
     return false;
   ++Stats.Hits;
   Hits.add();

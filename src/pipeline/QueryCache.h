@@ -13,8 +13,8 @@
 /// hash is computed incrementally at term-interning time, so keying a
 /// query is O(1) — this replaced a canonical-string serialization that
 /// rebuilt an O(formula-size) key on every lookup. The cache stores the
-/// raw solver outcome — Sat with model text, or Unsat — never an
-/// obligation verdict, so entries stay valid regardless of which
+/// raw solver outcome — Sat with the query's own model text, or Unsat —
+/// never an obligation verdict, so entries stay valid regardless of which
 /// obligation (simplified or not) produced the query. Unknown outcomes are
 /// NEVER stored: an Unknown is a property of the (budget, timeout) that
 /// produced it, not of the query, and replaying one under a larger
@@ -89,7 +89,8 @@ public:
     return {Query->getStructHashLo(), Query->getStructHashHi()};
   }
 
-  bool lookup(const Key &K, Outcome &Out) const;
+  /// With \p UnsatOnly a stored Sat outcome is a miss, like an absent one.
+  bool lookup(const Key &K, Outcome &Out, bool UnsatOnly = false) const;
 
   /// Inserts a definitive outcome. Unknown outcomes are rejected (see the
   /// file comment): callers may pass them, but they are dropped here so no

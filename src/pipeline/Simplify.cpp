@@ -47,6 +47,18 @@ void collectVars(TermRef T, std::unordered_set<TermRef> &Out) {
 
 } // namespace
 
+void pipeline::extendModel(Model &M,
+                           const std::vector<Elimination> &Eliminated,
+                           TermRef Orig) {
+  for (auto It = Eliminated.rbegin(); It != Eliminated.rend(); ++It)
+    M.set(It->first, M.eval(It->second));
+  std::unordered_set<TermRef> Vars;
+  collectVars(Orig, Vars);
+  for (TermRef V : Vars)
+    if (!M.has(V))
+      M.set(V, Model::defaultFor(V->getSort()));
+}
+
 TermRef Simplifier::simplifySelect(TermRef Array, TermRef Index) {
   // Walk past stores at provably distinct indices; stop at the first
   // store whose index might alias. Then expand reads over the pointwise
@@ -65,7 +77,6 @@ TermRef Simplifier::simplifySelect(TermRef Array, TermRef Index) {
         break;
       }
       if (provablyDistinct(Array->getArg(1), Index)) {
-        ++StoresResolved;
         Array = Array->getArg(0);
         continue;
       }
@@ -190,8 +201,9 @@ TermRef Simplifier::rewrite(TermRef T) {
   return Cache[T];
 }
 
-bool Simplifier::propagateGuardEqualities(std::vector<TermRef> &Conjuncts,
-                                          TermRef &Claim, SimplifyStats *St) {
+bool Simplifier::propagateGuardEqualities(
+    std::vector<TermRef> &Conjuncts, TermRef &Claim,
+    std::vector<Elimination> *Eliminated) {
   // A set {x_i == t_i} may be eliminated simultaneously only when no x_i
   // occurs in any t_j: then every x_i is gone after substitution, each
   // dropped equality is independently satisfiable, and Guard /\ !Claim is
@@ -235,13 +247,13 @@ bool Simplifier::propagateGuardEqualities(std::vector<TermRef> &Conjuncts,
       continue; // occurs check / would re-introduce an eliminated var
     Keys.insert(Key);
     Map.emplace(Key, Rhs);
+    if (Eliminated)
+      Eliminated->emplace_back(Key, Rhs);
     RhsVars.insert(CandVars.begin(), CandVars.end());
     Consumed[I] = true;
   }
   if (Map.empty())
     return false;
-  if (St)
-    St->EqualitiesSubstituted += static_cast<unsigned>(Map.size());
 
   std::vector<TermRef> Next;
   Next.reserve(Conjuncts.size());
@@ -254,8 +266,7 @@ bool Simplifier::propagateGuardEqualities(std::vector<TermRef> &Conjuncts,
 }
 
 bool Simplifier::simplifyObligation(TermRef &Guard, TermRef &Claim,
-                                    SimplifyStats *St) {
-  unsigned Before = StoresResolved;
+                                    std::vector<Elimination> *Eliminated) {
   Guard = rewrite(Guard);
   Claim = rewrite(Claim);
   std::vector<TermRef> Conjuncts = guardConjuncts(Guard);
@@ -263,13 +274,11 @@ bool Simplifier::simplifyObligation(TermRef &Guard, TermRef &Claim,
   for (unsigned Round = 0; Round < MaxRounds; ++Round) {
     if (Claim == TM.mkTrue() || Guard == TM.mkFalse())
       break;
-    if (!propagateGuardEqualities(Conjuncts, Claim, St))
+    if (!propagateGuardEqualities(Conjuncts, Claim, Eliminated))
       break;
     Guard = TM.mkAnd(Conjuncts);
     Conjuncts = guardConjuncts(Guard);
   }
-  if (St)
-    St->StoresResolved += StoresResolved - Before;
 
   bool Proved = false;
   if (Claim == TM.mkTrue() || Guard == TM.mkFalse()) {
@@ -290,7 +299,5 @@ bool Simplifier::simplifyObligation(TermRef &Guard, TermRef &Claim,
           [&](TermRef C) { return GuardSet.count(C) != 0; });
     }
   }
-  if (Proved && St)
-    ++St->ProvedTrivially;
   return Proved;
 }

@@ -21,31 +21,38 @@
 /// Every rewrite preserves equivalence (and the guard-equality
 /// elimination preserves equisatisfiability of Guard /\ !Claim), so the
 /// solver verdict on the simplified obligation is the verdict on the
-/// original — the property the differential fuzz suite pins.
+/// original — the property the differential fuzz suite pins. A model
+/// of the simplified obligation extends to the original (extendModel).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IDS_PIPELINE_SIMPLIFY_H
 #define IDS_PIPELINE_SIMPLIFY_H
 
+#include "smt/Model.h"
 #include "smt/Term.h"
 
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 namespace ids {
 namespace pipeline {
 
-struct SimplifyStats {
-  /// Guard equalities substituted and eliminated.
-  unsigned EqualitiesSubstituted = 0;
-  /// Select-over-store reads resolved past a provably distinct index.
-  unsigned StoresResolved = 0;
-  /// Obligations discharged without any solver query.
-  unsigned ProvedTrivially = 0;
-};
+/// A guard equality `Var == Rhs` that simplifyObligation substituted
+/// away.
+using Elimination = std::pair<smt::TermRef, smt::TermRef>;
+
+/// Extends \p M, a model of a simplified obligation, to one of \p Orig,
+/// the obligation before simplification: walking \p Eliminated backwards
+/// sets each Var to the value of its Rhs (a round's right-hand sides are
+/// free of that round's and every earlier round's Vars), and Vars of
+/// \p Orig still unassigned get their sort default, so the model names
+/// every symbol of the obligation.
+void extendModel(smt::Model &M, const std::vector<Elimination> &Eliminated,
+                 smt::TermRef Orig);
 
 /// Stateless-per-term rewriter with a persistent memo table; one instance
 /// per (manager, obligation batch).
@@ -59,16 +66,19 @@ public:
   /// Simplifies the obligation Guard => Claim in place (rewriting plus
   /// iterated guard-equality substitution). Returns true when the
   /// obligation is discharged outright: the claim rewrote to true, the
-  /// guard to false, or the guard conjuncts subsume the claim.
+  /// guard to false, or the guard conjuncts subsume the claim. Every
+  /// substituted guard equality is appended to \p Eliminated, in
+  /// elimination order.
   bool simplifyObligation(smt::TermRef &Guard, smt::TermRef &Claim,
-                          SimplifyStats *St = nullptr);
+                          std::vector<Elimination> *Eliminated = nullptr);
 
 private:
   smt::TermRef rewriteNode(smt::TermRef T,
                            const std::vector<smt::TermRef> &Args);
   smt::TermRef simplifySelect(smt::TermRef Array, smt::TermRef Index);
   bool propagateGuardEqualities(std::vector<smt::TermRef> &Conjuncts,
-                                smt::TermRef &Claim, SimplifyStats *St);
+                                smt::TermRef &Claim,
+                                std::vector<Elimination> *Eliminated);
 
   smt::TermManager &TM;
   std::unordered_map<smt::TermRef, smt::TermRef> Cache;
@@ -76,7 +86,6 @@ private:
   /// combinator expansion (shared DAG nodes would otherwise make the
   /// recursion exponential).
   std::map<std::pair<smt::TermRef, smt::TermRef>, smt::TermRef> SelectCache;
-  unsigned StoresResolved = 0;
 };
 
 } // namespace pipeline

@@ -11,7 +11,9 @@
 /// and with a fresh `assume` at the top of the body, and model
 /// construction must never give up on the way: each of these VCs is a
 /// quantifier-free formula in a decidable combination, so `unknown` would
-/// be a solver defect.
+/// be a solver defect. Each refuted obligation is solved once: the
+/// counterexample extends the simplified query's model, at `--jobs 1` and
+/// inside the pool workers at `--jobs 4` alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <vector>
 
 using namespace ids;
 
@@ -99,10 +103,27 @@ std::string addAssume(std::string Src, const Mutant &M) {
                             " != 1001;\n");
 }
 
+driver::ModuleResult refute(const std::string &Src, const Mutant &M,
+                            unsigned Jobs, DiagEngine &Diags) {
+  driver::VerifyOptions Opts;
+  Opts.Jobs = Jobs;
+  Opts.OnlyProc = M.Proc;
+  Opts.CheckImpacts = false;
+  return driver::verifySource(Src, Opts, Diags);
+}
+
 TEST(RefutationTest, EveryMutantFailsWithACounterexample) {
   trace::Counter &GiveUps = trace::counter("smt.model_give_ups");
+  trace::Counter &Obligations = trace::counter("pipeline.obligations");
+  trace::Counter &BySimplify = trace::counter("pipeline.proved_by_simplify");
+  trace::Counter &Hits = trace::counter("pipeline.cache_hits");
+  trace::Counter &Queries = trace::counter("pipeline.queries");
   const uint64_t Before = GiveUps.value();
+  const uint64_t Solvable0 =
+      Obligations.value() - BySimplify.value() - Hits.value();
+  const uint64_t Queries0 = Queries.value();
   unsigned Requests = 0;
+  std::vector<std::string> PlainFailures;
   for (const Mutant &M : Mutants) {
     const structures::Benchmark *B = structures::findBenchmark(M.Module);
     ASSERT_NE(B, nullptr) << M.Module;
@@ -116,20 +137,45 @@ TEST(RefutationTest, EveryMutantFailsWithACounterexample) {
       const std::string &Src = Variants[V];
       ASSERT_FALSE(Src.empty());
       DiagEngine Diags;
-      driver::VerifyOptions Opts;
-      Opts.Jobs = 1;
-      Opts.OnlyProc = M.Proc;
-      Opts.CheckImpacts = false;
-      driver::ModuleResult R = driver::verifySource(Src, Opts, Diags);
+      driver::ModuleResult R = refute(Src, M, /*Jobs=*/1, Diags);
       ++Requests;
       ASSERT_TRUE(R.FrontEndOk) << Diags.toString();
       ASSERT_EQ(R.Procs.size(), 1u);
       EXPECT_EQ(R.Procs[0].St, driver::Status::Failed)
           << R.Procs[0].FailedObligation;
       EXPECT_FALSE(R.Procs[0].Counterexample.empty());
+      if (V == 0)
+        PlainFailures.push_back(R.Procs[0].FailedObligation);
     }
   }
   EXPECT_EQ(Requests, 36u);
+  EXPECT_EQ(GiveUps.value(), Before);
+  // One solve per obligation the simplifier and the cache leave over: a
+  // Sat answer is turned into its counterexample without a second solve.
+  EXPECT_EQ(Queries.value() - Queries0,
+            Obligations.value() - BySimplify.value() - Hits.value() -
+                Solvable0);
+
+  // The same refutations on four pool workers: model extension runs
+  // inside the solve tasks, and the reported obligation is the first
+  // failure in obligation order whatever the schedule. (Under --splits it
+  // is the first member its group's model satisfies; see
+  // pipeline::Options::VcSplits.)
+  ASSERT_EQ(PlainFailures.size(), std::size(Mutants));
+  for (size_t I = 0; I < std::size(Mutants); ++I) {
+    const Mutant &M = Mutants[I];
+    SCOPED_TRACE(std::string(M.Module) + ":" + M.Proc + " without `" +
+                 M.DroppedLine + "` at --jobs 4");
+    DiagEngine Diags;
+    driver::ModuleResult R = refute(
+        dropLine(structures::findBenchmark(M.Module)->Source, M), M,
+        /*Jobs=*/4, Diags);
+    ASSERT_TRUE(R.FrontEndOk) << Diags.toString();
+    ASSERT_EQ(R.Procs.size(), 1u);
+    EXPECT_EQ(R.Procs[0].St, driver::Status::Failed);
+    EXPECT_EQ(R.Procs[0].FailedObligation, PlainFailures[I]);
+    EXPECT_FALSE(R.Procs[0].Counterexample.empty());
+  }
   EXPECT_EQ(GiveUps.value(), Before);
 }
 

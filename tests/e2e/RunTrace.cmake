@@ -3,7 +3,8 @@
 #
 # Runs one benchmark with every observability surface enabled and checks:
 #   * --trace-out writes well-formed, non-empty Chrome trace-event JSON
-#     with at least one span per pipeline stage and driver layer;
+#     with at least one span per front-end phase, vcgen, pipeline stage
+#     and driver layer;
 #   * --stats-json writes the ids-stats-v1 snapshot, and every line of
 #     the human --stats "cumulative metrics:" footer agrees with it
 #     (the acceptance criterion: the two renderings can never diverge);
@@ -46,7 +47,8 @@ endif()
 # events must be complete ("ph":"X") with VC-hash attribution on solves.
 foreach(Tag "\"traceEvents\":" "\"ph\":\"X\"" "pipeline.simplify"
         "pipeline.cache_probe" "pipeline.solve" "driver.proc"
-        "driver.request")
+        "driver.request" "\"lang.parse\"" "\"lang.typecheck\""
+        "\"lang.checks\"" "\"vcgen\"")
   string(FIND "${Trace}" "${Tag}" P)
   if(P EQUAL -1)
     message(FATAL_ERROR "trace.json lacks ${Tag}")

@@ -8,7 +8,8 @@
 /// Tests for the pipeline facade: term import across managers, the
 /// structural query cache (intra-batch dedup and cross-call sharing),
 /// parallel dispatch determinism (--jobs), legacy VC split grouping,
-/// one solve per obligation, and verdict reporting.
+/// one solve per obligation (a counterexample extends the simplified
+/// query's model), and verdict reporting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 #include "smt/Solver.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace ids;
 using namespace ids::pipeline;
@@ -30,6 +33,25 @@ vcgen::Obligation obligation(TermRef Guard, TermRef Claim,
   O.Claim = Claim;
   O.Description = Desc;
   return O;
+}
+
+/// The value counterexample text \p Cex gives \p Name ("" if none).
+std::string modelValue(const std::string &Cex, const std::string &Name) {
+  std::istringstream In(Cex);
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind(Name + " = ", 0) == 0)
+      return Line.substr(Name.size() + 3);
+  return "";
+}
+
+/// Expects \p Cex to name the integers \p Succ and \p Pred, with
+/// Succ == Pred + 1.
+void expectSuccessor(const std::string &Cex, const std::string &Succ,
+                     const std::string &Pred) {
+  std::string S = modelValue(Cex, Succ), P = modelValue(Cex, Pred);
+  ASSERT_FALSE(S.empty() || P.empty()) << Cex;
+  EXPECT_EQ(std::stoll(S), std::stoll(P) + 1) << Cex;
 }
 
 TEST(TermImportTest, RoundTripsAcrossManagers) {
@@ -355,8 +377,8 @@ TEST(PipelineTest, FailingObligationFailsInOneSolve) {
 
 TEST(PipelineTest, SimplifiedFailureIsReportedOnTheOriginal) {
   // The simplifier substitutes the guard equality x == y + 1 away. Its
-  // query is Sat, but its model does not mention x, so the pipeline
-  // re-solves the unsimplified obligation for the counterexample.
+  // query is Sat, and its model is extended through the eliminated
+  // equality, so the counterexample names x without a second solve.
   TermManager TM;
   TermRef X = TM.mkVar("x", TM.intSort());
   TermRef Y = TM.mkVar("y", TM.intSort());
@@ -365,9 +387,122 @@ TEST(PipelineTest, SimplifiedFailureIsReportedOnTheOriginal) {
   Options Opts;
   Result R = solveObligations(TM, Obls, Opts, nullptr);
   EXPECT_EQ(R.V, Verdict::Failed);
+  EXPECT_EQ(R.St.Queries, 1u);
+  expectSuccessor(R.Counterexample, "x", "y");
+}
+
+TEST(PipelineTest, SharedSimplifiedQueryKeepsItsOwnCounterexample) {
+  // x == y + 1 |- x <= y and z == y + 1 |- z <= y simplify to the same
+  // query. Its Sat outcome is specific to the obligation whose
+  // eliminated equality it was extended through, so it is never
+  // replayed for the other one: neither as an in-batch duplicate nor
+  // from the cache.
+  TermManager TM;
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  TermRef Z = TM.mkVar("z", TM.intSort());
+  TermRef Succ = TM.mkAdd({Y, TM.mkIntConst(1)});
+  vcgen::Obligation OX = obligation(TM.mkEq(X, Succ), TM.mkLe(X, Y), "x");
+  vcgen::Obligation OZ = obligation(TM.mkEq(Z, Succ), TM.mkLe(Z, Y), "z");
+  Options Opts;
+
+  QueryCache Batch;
+  Result R = solveObligations(TM, {OX, OZ}, Opts, &Batch);
+  EXPECT_EQ(R.V, Verdict::Failed);
   EXPECT_EQ(R.St.Queries, 2u);
-  EXPECT_NE(R.Counterexample.find("x"), std::string::npos)
-      << R.Counterexample;
+  EXPECT_EQ(R.St.CacheHits, 0u);
+  expectSuccessor(R.Counterexample, "x", "y");
+  EXPECT_EQ(modelValue(R.Counterexample, "z"), "") << R.Counterexample;
+
+  QueryCache Shared;
+  R = solveObligations(TM, {OX}, Opts, &Shared);
+  EXPECT_EQ(R.V, Verdict::Failed);
+  expectSuccessor(R.Counterexample, "x", "y");
+  EXPECT_EQ(modelValue(R.Counterexample, "z"), "") << R.Counterexample;
+  R = solveObligations(TM, {OZ}, Opts, &Shared);
+  EXPECT_EQ(R.V, Verdict::Failed);
+  EXPECT_EQ(R.St.Queries, 1u);
+  EXPECT_EQ(R.St.CacheHits, 0u);
+  expectSuccessor(R.Counterexample, "z", "y");
+  EXPECT_EQ(modelValue(R.Counterexample, "x"), "") << R.Counterexample;
+}
+
+TEST(PipelineTest, SplitGroupModelNamesTheFailingMember) {
+  // Under --splits 2 the last obligation shares a group with a valid
+  // one. The group's model satisfies only the failing member's query,
+  // and is extended through that member's eliminated equality.
+  TermManager TM;
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  TermRef U = TM.mkVar("u", TM.intSort());
+  TermRef V = TM.mkVar("v", TM.intSort());
+  std::vector<vcgen::Obligation> Obls = {
+      obligation(TM.mkLe(U, V), TM.mkLe(U, TM.mkAdd({V, TM.mkIntConst(1)})),
+                 "weaken"),
+      obligation(TM.mkLt(U, V), TM.mkLe(U, V), "strict"),
+      obligation(TM.mkAnd(TM.mkLe(U, V), TM.mkLe(V, U)), TM.mkEq(U, V),
+                 "antisymmetry"),
+      obligation(TM.mkEq(X, TM.mkAdd({Y, TM.mkIntConst(1)})), TM.mkLe(X, Y),
+                 "off")};
+  Options Opts;
+  Opts.VcSplits = 2;
+  Result R = solveObligations(TM, Obls, Opts, nullptr);
+  EXPECT_EQ(R.V, Verdict::Failed);
+  EXPECT_NE(R.FailedDescription.find("off"), std::string::npos)
+      << R.FailedDescription;
+  EXPECT_EQ(R.St.Queries, 2u);
+  expectSuccessor(R.Counterexample, "x", "y");
+}
+
+TEST(PipelineTest, QuantifiedSplitGroupNamesTheFailingMember) {
+  // Under --quant --splits 2 the first obligation, which is valid and
+  // claims a quantifier, shares a group with the failing third one. A
+  // model cannot evaluate a quantifier, so the group's model must not
+  // blame the quantified member; it names the failing one.
+  TermManager TM;
+  TermRef I = TM.mkVar("i", TM.intSort());
+  TermRef U = TM.mkVar("u", TM.intSort());
+  TermRef V = TM.mkVar("v", TM.intSort());
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  std::vector<vcgen::Obligation> Obls = {
+      obligation(TM.mkLe(U, V),
+                 TM.mkForall({I}, TM.mkImplies(TM.mkLe(I, U), TM.mkLe(I, V))),
+                 "bounded"),
+      obligation(TM.mkLt(U, V), TM.mkLe(U, V), "strict"),
+      obligation(TM.mkEq(X, TM.mkAdd({Y, TM.mkIntConst(1)})), TM.mkLe(X, Y),
+                 "off")};
+  Options Opts;
+  Opts.AllowQuantifiers = true;
+  Opts.VcSplits = 2;
+  Result R = solveObligations(TM, Obls, Opts, nullptr);
+  EXPECT_EQ(R.V, Verdict::Failed);
+  EXPECT_NE(R.FailedDescription.find("off"), std::string::npos)
+      << R.FailedDescription;
+  EXPECT_EQ(R.St.Queries, 2u);
+  expectSuccessor(R.Counterexample, "x", "y");
+}
+
+TEST(PipelineTest, RewrittenQuantifiedFailureIsUnknown) {
+  // Under --quant the query of x == y + 1 |- x <= y || forall i. i <= x
+  // loses x to substitution and is Sat. The extended model cannot be
+  // checked against the quantified original, so the obligation is
+  // unknown rather than refuted by an unchecked counterexample.
+  TermManager TM;
+  TermRef I = TM.mkVar("i", TM.intSort());
+  TermRef X = TM.mkVar("x", TM.intSort());
+  TermRef Y = TM.mkVar("y", TM.intSort());
+  std::vector<vcgen::Obligation> Obls = {obligation(
+      TM.mkEq(X, TM.mkAdd({Y, TM.mkIntConst(1)})),
+      TM.mkOr(TM.mkLe(X, Y), TM.mkForall({I}, TM.mkLe(I, X))), "unbounded")};
+  Options Opts;
+  Opts.AllowQuantifiers = true;
+  Result R = solveObligations(TM, Obls, Opts, nullptr);
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_NE(R.FailedDescription.find("model construction incomplete"),
+            std::string::npos)
+      << R.FailedDescription;
+  EXPECT_EQ(R.St.Queries, 1u);
 }
 
 TEST(PipelineTest, QuantifierInQfModeIsReportedUnsolved) {

@@ -14,7 +14,10 @@
 ///     simplified formula), and
 ///  2. random obligations pushed through the full pipeline
 ///     (simplify + cache + scheduler) must agree with a direct
-///     solver call on Guard /\ !Claim.
+///     solver call on Guard /\ !Claim, and
+///  3. on obligations whose guards begin with chains of eliminable
+///     equalities, every model of the simplified query must extend
+///     (extendModel) to a model of the unsimplified obligation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +79,6 @@ public:
     }
   }
 
-private:
   // Raw engine draws, as in FuzzTest.cpp: reproducible on every standard
   // library.
   unsigned pick(unsigned N) { return Rng() % N; }
@@ -164,6 +166,7 @@ private:
     }
   }
 
+private:
   TermManager &TM;
   std::mt19937 &Rng;
   std::vector<TermRef> BoolVars, IntVars, ArrVars, SetVars;
@@ -254,6 +257,65 @@ void runPipelineDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
   }
 }
 
+/// Random obligations whose guards begin with a chain of guard
+/// equalities v_i == t_i (each t_i a FormulaGen term over v_{i-1}),
+/// plus a set and a boolean definition the claim reads. The simplifier
+/// eliminates them; on every Sat answer for the simplified query, the
+/// model extended through the eliminations must satisfy the original
+/// obligation. \p Extended counts the Sat answers with eliminations.
+void runModelExtension(uint32_t Seed, unsigned Iters, unsigned Depth,
+                       unsigned &Decided, unsigned &Extended) {
+  NoGiveUps Guard;
+  std::mt19937 Rng(Seed);
+  for (unsigned I = 0; I < Iters; ++I) {
+    TermManager TM;
+    FormulaGen Gen(TM, Rng);
+    std::vector<TermRef> Conjs;
+    TermRef Prev = nullptr;
+    for (int K = 0; K < 4; ++K) {
+      TermRef V = TM.mkVar("v" + std::to_string(K), TM.intSort());
+      TermRef T = Gen.intTerm(Depth - 1);
+      Conjs.push_back(TM.mkEq(V, Prev ? TM.mkAdd(Prev, T) : T));
+      Prev = V;
+    }
+    TermRef S = TM.mkVar("sv", TM.getArraySort(TM.intSort(), TM.boolSort()));
+    Conjs.push_back(
+        TM.mkEq(S, TM.mkSetInsert(Gen.setTerm(Depth - 1), Prev)));
+    TermRef B = TM.mkVar("b", TM.boolSort());
+    Conjs.push_back(TM.mkEq(B, Gen.boolFormula(Depth - 1)));
+    Conjs.push_back(Gen.boolFormula(Depth));
+    vcgen::Obligation O;
+    O.Guard = TM.mkAnd(Conjs);
+    O.Claim = TM.mkOr({Gen.boolFormula(Depth - 1),
+                       TM.mkLe(Prev, Gen.intTerm(Depth - 1)),
+                       TM.mkMember(Gen.intTerm(0), S), B});
+    TermRef Orig = TM.mkAnd(O.Guard, TM.mkNot(O.Claim));
+
+    Simplifier Simp(TM);
+    std::vector<Elimination> Eliminated;
+    if (Simp.simplifyObligation(O.Guard, O.Claim, &Eliminated))
+      continue;
+    Solver::Options Opts;
+    Opts.MaxTheoryChecks = 20000;
+    Solver Slv(TM, Opts);
+    Solver::Result Res = Slv.checkSat(TM.mkAnd(O.Guard, TM.mkNot(O.Claim)));
+    if (Res == Solver::Result::Unknown)
+      continue;
+    ++Decided;
+    if (Res != Solver::Result::Sat)
+      continue;
+    Extended += !Eliminated.empty();
+    Model M = Slv.model();
+    extendModel(M, Eliminated, Orig);
+    Value V = M.evaluate(Orig);
+    EXPECT_TRUE(V.K == Value::Kind::Bool && V.B)
+        << "extended model falsifies the original obligation (seed " << Seed
+        << ", iter " << I << ")\n"
+        << printTerm(Orig) << "\n-- model --\n"
+        << M.toString();
+  }
+}
+
 // The same three seeds and iteration counts as the solver fuzzer: 600
 // formulas total per harness.
 TEST(PipelineFuzzTest, RewriteShallow) {
@@ -296,6 +358,16 @@ TEST(PipelineFuzzTest, ObligationArrayHeavy) {
   runPipelineDifferential(/*Seed=*/0xBADF00D, /*Iters=*/100, /*Depth=*/5,
                           Decided);
   EXPECT_GT(Decided, 50u);
+}
+
+TEST(PipelineFuzzTest, ObligationModelsExtend) {
+  unsigned Decided = 0, Extended = 0;
+  runModelExtension(/*Seed=*/0xE1A57, /*Iters=*/300, /*Depth=*/3, Decided,
+                    Extended);
+  runModelExtension(/*Seed=*/0x5EED5, /*Iters=*/100, /*Depth=*/4, Decided,
+                    Extended);
+  EXPECT_GT(Decided, 200u);
+  EXPECT_GT(Extended, 180u);
 }
 
 } // namespace
