@@ -201,16 +201,12 @@ TermRef Simplifier::rewrite(TermRef T) {
   return Cache[T];
 }
 
-bool Simplifier::propagateGuardEqualities(
-    std::vector<TermRef> &Conjuncts, TermRef &Claim,
-    std::vector<Elimination> *Eliminated) {
+bool Simplifier::nextRound(const std::vector<TermRef> &Conjuncts, Round &R) {
   // A set {x_i == t_i} may be eliminated simultaneously only when no x_i
   // occurs in any t_j: then every x_i is gone after substitution, each
   // dropped equality is independently satisfiable, and Guard /\ !Claim is
   // equisatisfiable with its substituted form. Build the set greedily
   // under that invariant.
-  std::unordered_map<TermRef, TermRef> Map;
-  std::unordered_set<TermRef> Keys;
   std::unordered_set<TermRef> RhsVars;
   std::vector<bool> Consumed(Conjuncts.size(), false);
 
@@ -234,34 +230,29 @@ bool Simplifier::propagateGuardEqualities(
       Key = C->getArg(0);
       Rhs = TM.mkFalse();
     }
-    if (!Key || Keys.count(Key) || RhsVars.count(Key))
+    if (!Key || R.Map.count(Key) || RhsVars.count(Key))
       continue;
     // Occurs check against the accepted keys plus the candidate itself,
-    // done in one DFS over Rhs (no per-candidate copy of Keys: guards
+    // done in one DFS over Rhs (no per-candidate copy of the keys: guards
     // are dominated by incarnation equalities, so this is a hot loop).
     std::unordered_set<TermRef> CandVars;
     collectVars(Rhs, CandVars);
     if (CandVars.count(Key) ||
         std::any_of(CandVars.begin(), CandVars.end(),
-                    [&](TermRef V) { return Keys.count(V) != 0; }))
+                    [&](TermRef V) { return R.Map.count(V) != 0; }))
       continue; // occurs check / would re-introduce an eliminated var
-    Keys.insert(Key);
-    Map.emplace(Key, Rhs);
-    if (Eliminated)
-      Eliminated->emplace_back(Key, Rhs);
+    R.Map.emplace(Key, Rhs);
+    R.Eliminated.emplace_back(Key, Rhs);
     RhsVars.insert(CandVars.begin(), CandVars.end());
     Consumed[I] = true;
   }
-  if (Map.empty())
+  if (R.Map.empty())
     return false;
 
-  std::vector<TermRef> Next;
-  Next.reserve(Conjuncts.size());
+  R.Next.reserve(Conjuncts.size());
   for (size_t I = 0; I < Conjuncts.size(); ++I)
     if (!Consumed[I])
-      Next.push_back(rewrite(TM.substitute(Conjuncts[I], Map)));
-  Conjuncts = std::move(Next);
-  Claim = rewrite(TM.substitute(Claim, Map));
+      R.Next.push_back(rewrite(TM.substitute(Conjuncts[I], R.Map, R.Memo)));
   return true;
 }
 
@@ -269,16 +260,33 @@ bool Simplifier::simplifyObligation(TermRef &Guard, TermRef &Claim,
                                     std::vector<Elimination> *Eliminated) {
   Guard = rewrite(Guard);
   Claim = rewrite(Claim);
-  std::vector<TermRef> Conjuncts = guardConjuncts(Guard);
+  GuardRun &Run = Runs[Guard];
   constexpr unsigned MaxRounds = 8;
-  for (unsigned Round = 0; Round < MaxRounds; ++Round) {
+  for (size_t I = 0; I < MaxRounds; ++I) {
     if (Claim == TM.mkTrue() || Guard == TM.mkFalse())
       break;
-    if (!propagateGuardEqualities(Conjuncts, Claim, Eliminated))
-      break;
-    Guard = TM.mkAnd(Conjuncts);
-    Conjuncts = guardConjuncts(Guard);
+    bool Fresh = I == Run.Rounds.size();
+    if (Fresh) {
+      Round R;
+      if (Run.Done || !nextRound(guardConjuncts(Guard), R)) {
+        Run.Done = true;
+        break;
+      }
+      Run.Rounds.push_back(std::move(R));
+    }
+    Round &R = Run.Rounds[I];
+    Claim = rewrite(TM.substitute(Claim, R.Map, R.Memo));
+    // Intern the next guard after the claim, as the loop run per
+    // obligation does: term ids, and so the queries, do not depend on
+    // which obligation of the batch computed the round.
+    if (Fresh)
+      R.Guard = TM.mkAnd(R.Next);
+    if (Eliminated)
+      Eliminated->insert(Eliminated->end(), R.Eliminated.begin(),
+                         R.Eliminated.end());
+    Guard = R.Guard;
   }
+  std::vector<TermRef> Conjuncts = guardConjuncts(Guard);
 
   bool Proved = false;
   if (Claim == TM.mkTrue() || Guard == TM.mkFalse()) {

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Bottom-up VC simplification beyond the TermManager's smart
-/// constructors, applied per obligation before the SMT solver sees it:
+/// constructors, applied to each obligation of a batch before the SMT
+/// solver sees it:
 ///
 ///  - complementary-literal collapse in n-ary And/Or (x /\ !x -> false),
 ///  - read-over-write resolution through Store chains when the indices
@@ -16,7 +17,10 @@
 ///    encoding's heap-update chains blow up,
 ///  - equality substitution under the guard: passified VCs are dominated
 ///    by incarnation equalities `x_k == e`; substituting and dropping
-///    them shrinks the obligation without changing its verdict.
+///    them shrinks the obligation without changing its verdict. The
+///    obligations of one procedure share their path condition, so this
+///    work is done once per distinct guard of a batch and only the claim
+///    is substituted per obligation.
 ///
 /// Every rewrite preserves equivalence (and the guard-equality
 /// elimination preserves equisatisfiability of Guard /\ !Claim), so the
@@ -54,8 +58,24 @@ using Elimination = std::pair<smt::TermRef, smt::TermRef>;
 void extendModel(smt::Model &M, const std::vector<Elimination> &Eliminated,
                  smt::TermRef Orig);
 
-/// Stateless-per-term rewriter with a persistent memo table; one instance
-/// per (manager, obligation batch).
+/// Rewriter and obligation simplifier with batch-scoped memos: one
+/// instance per obligation batch, whose terms all live in one manager.
+///
+/// Guard runs: the guard-equality rounds of each rewritten guard are kept
+/// for the whole batch, computed lazily and in order. An obligation whose
+/// claim folds to true after round 1 leaves the later rounds to the next
+/// obligation with that guard; a later obligation with the same guard
+/// replays the rounds and substitutes only its claim, under each round's
+/// memo.
+///
+/// Creation order is the invariant. Term ids order mkAnd/mkEq arguments,
+/// which fix the simplified queries and so the solver's search. The first
+/// computation of a round therefore interns what a per-obligation
+/// simplifier would, in its order: the substituted conjuncts, then the
+/// claim, then the next guard (the mkAnd of the conjuncts). A replay
+/// interns only what the claim adds. A batch simplified by one instance
+/// yields the same terms, with the same ids, as a fresh instance per
+/// obligation (SimplifyFuzzTest pins this).
 class Simplifier {
 public:
   explicit Simplifier(smt::TermManager &TM) : TM(TM) {}
@@ -73,12 +93,33 @@ public:
                           std::vector<Elimination> *Eliminated = nullptr);
 
 private:
+  /// One guard-equality round of a guard run.
+  struct Round {
+    /// Eliminated Var -> its right-hand side.
+    std::unordered_map<smt::TermRef, smt::TermRef> Map;
+    /// The same equalities, in elimination order.
+    std::vector<Elimination> Eliminated;
+    /// Substitution memo under Map, shared by the round's conjuncts and
+    /// every claim substituted under it.
+    std::unordered_map<smt::TermRef, smt::TermRef> Memo;
+    /// The remaining conjuncts, substituted and rewritten.
+    std::vector<smt::TermRef> Next;
+    /// The guard after the round: mkAnd(Next).
+    smt::TermRef Guard = nullptr;
+  };
+  /// The rounds computed so far for one rewritten guard.
+  struct GuardRun {
+    std::vector<Round> Rounds;
+    /// The guard after the last round has no eliminable equality.
+    bool Done = false;
+  };
+
   smt::TermRef rewriteNode(smt::TermRef T,
                            const std::vector<smt::TermRef> &Args);
   smt::TermRef simplifySelect(smt::TermRef Array, smt::TermRef Index);
-  bool propagateGuardEqualities(std::vector<smt::TermRef> &Conjuncts,
-                                smt::TermRef &Claim,
-                                std::vector<Elimination> *Eliminated);
+  /// Fills \p R from the guard \p Conjuncts, all but its Guard; false
+  /// when no conjunct is an eliminable equality.
+  bool nextRound(const std::vector<smt::TermRef> &Conjuncts, Round &R);
 
   smt::TermManager &TM;
   std::unordered_map<smt::TermRef, smt::TermRef> Cache;
@@ -86,6 +127,8 @@ private:
   /// combinator expansion (shared DAG nodes would otherwise make the
   /// recursion exponential).
   std::map<std::pair<smt::TermRef, smt::TermRef>, smt::TermRef> SelectCache;
+  /// Guard runs, keyed by the rewritten guard.
+  std::unordered_map<smt::TermRef, GuardRun> Runs;
 };
 
 } // namespace pipeline

@@ -203,6 +203,10 @@ TermRef TermManager::intern(Term &&Node) {
       return It->second;
   assert(!Frozen && "interning a new term in a frozen TermManager");
   Node.Id = NextId++;
+  Node.HasForall =
+      Node.Kind == TermKind::Forall ||
+      std::any_of(Node.Args.begin(), Node.Args.end(),
+                  [](TermRef Arg) { return Arg->HasForall; });
   // Structural DAG hash: two independently seeded 64-bit mixes over the
   // node's kind, payload and the (already computed) child hashes. O(1)
   // per node since children are interned first.
@@ -720,12 +724,13 @@ TermRef TermManager::mkForall(std::vector<TermRef> BoundVars, TermRef Body) {
 
 namespace {
 /// Rebuilds a term bottom-up through the smart constructors, applying a
-/// Var substitution. Memoised per call.
+/// Var substitution. Memoised in a caller-owned table.
 class Substituter {
 public:
   Substituter(TermManager &TM,
-              const std::unordered_map<TermRef, TermRef> &Map)
-      : TM(TM), Map(Map) {}
+              const std::unordered_map<TermRef, TermRef> &Map,
+              std::unordered_map<TermRef, TermRef> &Cache)
+      : TM(TM), Map(Map), Cache(Cache) {}
 
   TermRef visit(TermRef T) {
     auto It = Cache.find(T);
@@ -741,7 +746,7 @@ private:
 
   TermManager &TM;
   const std::unordered_map<TermRef, TermRef> &Map;
-  std::unordered_map<TermRef, TermRef> Cache;
+  std::unordered_map<TermRef, TermRef> &Cache;
 };
 } // namespace
 
@@ -823,9 +828,16 @@ TermRef Substituter::compute(TermRef T) {
 
 TermRef TermManager::substitute(
     TermRef T, const std::unordered_map<TermRef, TermRef> &Map) {
+  std::unordered_map<TermRef, TermRef> Memo;
+  return substitute(T, Map, Memo);
+}
+
+TermRef TermManager::substitute(TermRef T,
+                                const std::unordered_map<TermRef, TermRef> &Map,
+                                std::unordered_map<TermRef, TermRef> &Memo) {
   if (Map.empty())
     return T;
-  Substituter S(*this, Map);
+  Substituter S(*this, Map, Memo);
   return S.visit(T);
 }
 
@@ -974,21 +986,4 @@ TermRef TermManager::import(TermRef Foreign) {
     ImportCache.emplace(T, Local);
   }
   return ImportCache[Foreign];
-}
-
-bool TermManager::containsQuantifier(TermRef T) const {
-  std::vector<TermRef> Work = {T};
-  std::unordered_map<TermRef, bool> Seen;
-  while (!Work.empty()) {
-    TermRef Cur = Work.back();
-    Work.pop_back();
-    if (Seen.count(Cur))
-      continue;
-    Seen.emplace(Cur, true);
-    if (Cur->getKind() == TermKind::Forall)
-      return true;
-    for (TermRef Arg : Cur->getArgs())
-      Work.push_back(Arg);
-  }
-  return false;
 }

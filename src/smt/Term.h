@@ -138,6 +138,9 @@ private:
   unsigned Id = 0;
   uint64_t StructHashLo = 0;
   uint64_t StructHashHi = 0;
+  /// A Forall node occurs in this term (set at interning from the kind
+  /// and the arguments' bits).
+  bool HasForall = false;
   std::vector<TermRef> Args;
   std::string Name;
   BigInt IntVal;
@@ -283,9 +286,16 @@ public:
   /// substitutes fresh or program-level names).
   TermRef substitute(TermRef T,
                      const std::unordered_map<TermRef, TermRef> &Map);
+  /// The same, memoised in the caller-owned \p Memo, which must only
+  /// ever be used with this \p Map: one memo serves every term
+  /// substituted under one map.
+  TermRef substitute(TermRef T,
+                     const std::unordered_map<TermRef, TermRef> &Map,
+                     std::unordered_map<TermRef, TermRef> &Memo);
 
   /// True if the term contains a Forall node (QF cross-check, Section 5.1).
-  bool containsQuantifier(TermRef T) const;
+  /// O(1): a bit set on every term when it is interned.
+  bool containsQuantifier(TermRef T) const { return T->HasForall; }
 
   /// Translates a sort owned by another manager into this manager
   /// (uninterpreted sorts match by name, array sorts structurally).

@@ -17,7 +17,11 @@
 ///     solver call on Guard /\ !Claim, and
 ///  3. on obligations whose guards begin with chains of eliminable
 ///     equalities, every model of the simplified query must extend
-///     (extendModel) to a model of the unsimplified obligation.
+///     (extendModel) to a model of the unsimplified obligation, and
+///  4. a batch simplified by one Simplifier, which shares guard runs
+///     across obligations with the same guard, must give the same
+///     terms, with the same ids, as the guard-equality loop run per
+///     obligation in a second manager.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +33,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 using namespace ids;
@@ -316,6 +323,216 @@ void runModelExtension(uint32_t Seed, unsigned Iters, unsigned Depth,
   }
 }
 
+/// A guard and a claim, before simplification.
+struct GuardClaim {
+  TermRef Guard;
+  TermRef Claim;
+};
+
+/// Builds a batch of obligations whose guards share work three ways:
+/// exact repeats of one guard, guards that are conjunct-prefixes of each
+/// other, and a guard with a chain of equalities v0 == t0, v_k == v_{k-1}
+/// + t_k that takes three rounds to eliminate, first under a claim that
+/// folds to true in round 1 (v0 == t0 itself), then under one that needs
+/// every round. Deterministic in \p Rng: the same seed builds the same
+/// terms, with the same ids, in any fresh manager.
+std::vector<GuardClaim> makeSharedGuardBatch(TermManager &TM,
+                                             std::mt19937 &Rng,
+                                             unsigned Depth) {
+  FormulaGen Gen(TM, Rng);
+  auto Definition = [&](const std::string &Name) {
+    TermRef T = Gen.intTerm(Depth - 1);
+    return TM.mkEq(TM.mkVar(Name, TM.intSort()), T);
+  };
+  TermRef Repeated = TM.mkAnd({Definition("u0"), Gen.boolFormula(Depth - 1),
+                               Definition("u1"), Gen.boolFormula(Depth)});
+  std::vector<TermRef> Prefix;
+  std::vector<TermRef> Prefixes;
+  for (int K = 0; K < 3; ++K) {
+    Prefix.push_back(Definition("w" + std::to_string(K)));
+    Prefix.push_back(Gen.boolFormula(Depth - 1));
+    Prefixes.push_back(TM.mkAnd(Prefix));
+  }
+  std::vector<TermRef> Chain;
+  TermRef Prev = nullptr;
+  for (int K = 0; K < 4; ++K) {
+    TermRef T = Gen.intTerm(Depth - 1);
+    TermRef V = TM.mkVar("v" + std::to_string(K), TM.intSort());
+    Chain.push_back(TM.mkEq(V, Prev ? TM.mkAdd(Prev, T) : T));
+    Prev = V;
+  }
+  TermRef Chained = TM.mkAnd({TM.mkAnd(Chain), Gen.boolFormula(Depth - 1)});
+
+  std::vector<GuardClaim> Batch;
+  for (unsigned J = 0; J < 10; ++J) {
+    switch (Gen.pick(4)) {
+    case 0:
+      Batch.push_back({Repeated, Gen.boolFormula(Depth)});
+      break;
+    case 1:
+      Batch.push_back({Prefixes[Gen.pick(Prefixes.size())],
+                       TM.mkOr(Gen.boolFormula(Depth - 1),
+                               Gen.intAtom(Depth - 1))});
+      break;
+    case 2:
+      Batch.push_back({Chained, Chain[0]});
+      Batch.push_back({Chained, TM.mkLe(Prev, Gen.intTerm(Depth - 1))});
+      break;
+    default:
+      Batch.push_back({TM.mkAnd(Gen.boolFormula(Depth), Definition("u0")),
+                       Gen.boolFormula(Depth - 1)});
+      break;
+    }
+  }
+  return Batch;
+}
+
+/// The guard-equality loop one obligation at a time, interning in the
+/// order that fixes term ids: each round substitutes every remaining
+/// guard conjunct with a memo of its own, then the claim, then builds the
+/// next guard. Rewriting uses a fresh Simplifier. Returns
+/// whether the obligation is discharged; \p Rounds counts the rounds
+/// that eliminated something.
+bool simplifyPerObligation(TermManager &TM, TermRef &Guard, TermRef &Claim,
+                           std::vector<Elimination> &Eliminated,
+                           unsigned &Rounds) {
+  Simplifier Simp(TM);
+  Guard = Simp.rewrite(Guard);
+  Claim = Simp.rewrite(Claim);
+  auto Conjuncts = [](TermRef G) {
+    return G->getKind() == TermKind::And ? G->getArgs()
+                                         : std::vector<TermRef>{G};
+  };
+  auto VarsOf = [](TermRef T) {
+    std::unordered_set<TermRef> Vars, Seen;
+    std::vector<TermRef> Work = {T};
+    while (!Work.empty()) {
+      TermRef Cur = Work.back();
+      Work.pop_back();
+      if (!Seen.insert(Cur).second)
+        continue;
+      if (Cur->getKind() == TermKind::Var)
+        Vars.insert(Cur);
+      Work.insert(Work.end(), Cur->getArgs().begin(), Cur->getArgs().end());
+    }
+    return Vars;
+  };
+  Rounds = 0;
+  for (; Rounds < 8; ++Rounds) {
+    if (Claim == TM.mkTrue() || Guard == TM.mkFalse())
+      break;
+    std::vector<TermRef> Conjs = Conjuncts(Guard);
+    std::unordered_map<TermRef, TermRef> Map;
+    std::unordered_set<TermRef> RhsVars;
+    std::vector<TermRef> Kept;
+    for (TermRef C : Conjs) {
+      TermRef Key = nullptr, Rhs = nullptr;
+      if (C->getKind() == TermKind::Eq) {
+        if (C->getArg(1)->getKind() == TermKind::Var) {
+          Key = C->getArg(1);
+          Rhs = C->getArg(0);
+        } else if (C->getArg(0)->getKind() == TermKind::Var) {
+          Key = C->getArg(0);
+          Rhs = C->getArg(1);
+        }
+      } else if (C->getKind() == TermKind::Var) {
+        Key = C;
+        Rhs = TM.mkTrue();
+      } else if (C->getKind() == TermKind::Not &&
+                 C->getArg(0)->getKind() == TermKind::Var) {
+        Key = C->getArg(0);
+        Rhs = TM.mkFalse();
+      }
+      bool Accept = Key && !Map.count(Key) && !RhsVars.count(Key);
+      std::unordered_set<TermRef> CandVars;
+      if (Accept) {
+        CandVars = VarsOf(Rhs);
+        Accept = !CandVars.count(Key) &&
+                 std::none_of(CandVars.begin(), CandVars.end(),
+                              [&](TermRef V) { return Map.count(V) != 0; });
+      }
+      if (!Accept) {
+        Kept.push_back(C);
+        continue;
+      }
+      Map.emplace(Key, Rhs);
+      Eliminated.emplace_back(Key, Rhs);
+      RhsVars.insert(CandVars.begin(), CandVars.end());
+    }
+    if (Map.empty())
+      break;
+    std::vector<TermRef> Next;
+    for (TermRef C : Kept)
+      Next.push_back(Simp.rewrite(TM.substitute(C, Map)));
+    Claim = Simp.rewrite(TM.substitute(Claim, Map));
+    Guard = TM.mkAnd(Next);
+  }
+  if (Claim == TM.mkTrue() || Guard == TM.mkFalse())
+    return true;
+  std::vector<TermRef> Conjs = Conjuncts(Guard);
+  std::unordered_set<TermRef> GuardSet(Conjs.begin(), Conjs.end());
+  auto InGuard = [&](TermRef C) { return GuardSet.count(C) != 0; };
+  if (InGuard(Claim))
+    return true;
+  const std::vector<TermRef> &Parts = Claim->getArgs();
+  if (Claim->getKind() == TermKind::And)
+    return std::all_of(Parts.begin(), Parts.end(), InGuard);
+  if (Claim->getKind() == TermKind::Or)
+    return std::any_of(Parts.begin(), Parts.end(), InGuard);
+  return false;
+}
+
+/// One Simplifier for a whole batch (guard runs shared across the
+/// batch) against the per-obligation loop in a second manager built by
+/// the same construction sequence: same discharges, same eliminations,
+/// same result terms by id, and the same number of terms in the end.
+/// \p Replays counts obligations whose guard an earlier one of the batch
+/// had; \p LazyExtensions counts those that needed round 3 or later
+/// while every earlier obligation with their guard stopped after round 1.
+void runSharedGuardDifferential(uint32_t Seed, unsigned Iters,
+                                unsigned Depth, unsigned &Replays,
+                                unsigned &LazyExtensions) {
+  std::mt19937 RngA(Seed), RngB(Seed);
+  for (unsigned I = 0; I < Iters; ++I) {
+    TermManager A, B;
+    std::vector<GuardClaim> BatchA = makeSharedGuardBatch(A, RngA, Depth);
+    std::vector<GuardClaim> BatchB = makeSharedGuardBatch(B, RngB, Depth);
+    ASSERT_EQ(BatchA.size(), BatchB.size());
+    ASSERT_EQ(A.numTerms(), B.numTerms());
+    Simplifier Batch(A);
+    std::unordered_map<unsigned, unsigned> MostRounds; // guard id -> rounds
+    for (size_t K = 0; K < BatchA.size(); ++K) {
+      TermRef GA = BatchA[K].Guard, CA = BatchA[K].Claim;
+      TermRef GB = BatchB[K].Guard, CB = BatchB[K].Claim;
+      ASSERT_EQ(GA->getId(), GB->getId());
+      std::vector<Elimination> ElimA, ElimB;
+      unsigned Rounds = 0;
+      bool ProvedA = Batch.simplifyObligation(GA, CA, &ElimA);
+      bool ProvedB = simplifyPerObligation(B, GB, CB, ElimB, Rounds);
+      std::string Where = "seed " + std::to_string(Seed) + ", batch " +
+                          std::to_string(I) + ", obligation " +
+                          std::to_string(K);
+      EXPECT_EQ(ProvedA, ProvedB) << Where;
+      EXPECT_EQ(GA->getId(), GB->getId()) << Where;
+      EXPECT_EQ(CA->getId(), CB->getId()) << Where;
+      ASSERT_EQ(ElimA.size(), ElimB.size()) << Where;
+      for (size_t E = 0; E < ElimA.size(); ++E) {
+        EXPECT_EQ(ElimA[E].first->getId(), ElimB[E].first->getId()) << Where;
+        EXPECT_EQ(ElimA[E].second->getId(), ElimB[E].second->getId())
+            << Where;
+      }
+      auto [It, First] = MostRounds.emplace(BatchB[K].Guard->getId(), Rounds);
+      if (!First) {
+        ++Replays;
+        LazyExtensions += It->second == 1 && Rounds >= 3;
+        It->second = std::max(It->second, Rounds);
+      }
+    }
+    EXPECT_EQ(A.numTerms(), B.numTerms()) << "seed " << Seed << ", batch "
+                                          << I;
+  }
+}
+
 // The same three seeds and iteration counts as the solver fuzzer: 600
 // formulas total per harness.
 TEST(PipelineFuzzTest, RewriteShallow) {
@@ -368,6 +585,16 @@ TEST(PipelineFuzzTest, ObligationModelsExtend) {
                     Extended);
   EXPECT_GT(Decided, 200u);
   EXPECT_GT(Extended, 180u);
+}
+
+TEST(PipelineFuzzTest, SharedGuardRunsMatchPerObligation) {
+  unsigned Replays = 0, LazyExtensions = 0;
+  runSharedGuardDifferential(/*Seed=*/0x6A4D5, /*Iters=*/150, /*Depth=*/3,
+                             Replays, LazyExtensions);
+  runSharedGuardDifferential(/*Seed=*/0x5A4ED, /*Iters=*/50, /*Depth=*/4,
+                             Replays, LazyExtensions);
+  EXPECT_GT(Replays, 1000u);
+  EXPECT_GT(LazyExtensions, 120u);
 }
 
 } // namespace

@@ -4,13 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "FormulaGen.h"
 #include "smt/Term.h"
 #include "smt/TermPrinter.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <random>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 using namespace ids;
@@ -110,6 +114,119 @@ TEST_F(TermTest, QuantifierDetection) {
   EXPECT_TRUE(TM.containsQuantifier(Q));
   EXPECT_FALSE(TM.containsQuantifier(Body));
   EXPECT_TRUE(TM.containsQuantifier(TM.mkAnd(Q, Body)));
+}
+
+namespace {
+/// The walk containsQuantifier did before the bit: a DFS for a Forall.
+bool hasForallByDfs(TermRef T) {
+  std::vector<TermRef> Work = {T};
+  std::unordered_set<TermRef> Seen;
+  while (!Work.empty()) {
+    TermRef Cur = Work.back();
+    Work.pop_back();
+    if (!Seen.insert(Cur).second)
+      continue;
+    if (Cur->getKind() == TermKind::Forall)
+      return true;
+    for (TermRef Arg : Cur->getArgs())
+      Work.push_back(Arg);
+  }
+  return false;
+}
+} // namespace
+
+TEST_F(TermTest, QuantifierBitPropagatesThroughEveryNode) {
+  TermRef X = TM.mkVar("x", TM.locSort());
+  TermRef P = TM.mkVar("p", TM.boolSort());
+  TermRef I = TM.mkVar("i", TM.intSort());
+  TermRef Q = TM.mkForall({X}, TM.mkEq(X, TM.mkNil()));
+  const Sort *IntBool = TM.getArraySort(TM.intSort(), TM.boolSort());
+  TermRef S = TM.mkVar("s", IntBool);
+  const FuncDecl *F = TM.getFuncDecl("f", {TM.boolSort()}, TM.intSort());
+  TermRef InAnd = TM.mkAnd(P, Q);
+  TermRef InIte = TM.mkIte(P, Q, TM.mkNot(P));
+  TermRef InApply = TM.mkLe(TM.mkApply(F, {Q}), I);
+  TermRef InStore = TM.mkStore(S, I, Q);
+  for (TermRef T : {InAnd, InIte, InApply, InStore})
+    EXPECT_TRUE(TM.containsQuantifier(T)) << printTerm(T);
+  EXPECT_FALSE(TM.containsQuantifier(TM.mkAnd(P, TM.mkNot(P))));
+  EXPECT_FALSE(TM.containsQuantifier(TM.mkApply(F, {P})));
+
+  // substitute rebuilds through the smart constructors: the bit follows.
+  std::unordered_map<TermRef, TermRef> Map = {{P, TM.mkNot(P)},
+                                              {I, TM.mkIntConst(3)}};
+  for (TermRef T : {InAnd, InIte, InApply, InStore}) {
+    TermRef Sub = TM.substitute(T, Map);
+    EXPECT_NE(Sub, T);
+    EXPECT_TRUE(TM.containsQuantifier(Sub)) << printTerm(Sub);
+  }
+  // A substitution that folds the quantifier away clears it.
+  EXPECT_FALSE(TM.containsQuantifier(
+      TM.substitute(InAnd, {{P, TM.mkFalse()}})));
+
+  // import rebuilds in another manager.
+  TermManager Other;
+  for (TermRef T : {InAnd, InIte, InApply, InStore, Q}) {
+    TermRef Imported = Other.import(T);
+    EXPECT_TRUE(Other.containsQuantifier(Imported)) << printTerm(T);
+  }
+  EXPECT_FALSE(Other.containsQuantifier(Other.import(TM.mkApply(F, {P}))));
+
+  // An overlay's own terms over base terms carry the bit of their
+  // arguments.
+  TM.freeze();
+  {
+    TermManager Overlay(TM, TermManager::Snapshot{});
+    TermRef Y = Overlay.mkVar("y", Overlay.boolSort());
+    TermRef New = Overlay.mkOr(Y, InAnd);
+    EXPECT_GE(New->getId(), TM.numTerms());
+    EXPECT_TRUE(Overlay.containsQuantifier(New));
+    TermRef Sel = Overlay.mkSelect(InStore, Overlay.mkIntConst(7));
+    EXPECT_GE(Sel->getId(), TM.numTerms());
+    EXPECT_TRUE(Overlay.containsQuantifier(Sel));
+    EXPECT_FALSE(Overlay.containsQuantifier(Overlay.mkAnd(Y, P)));
+  }
+  TM.thaw();
+}
+
+TEST_F(TermTest, QuantifierBitAgreesWithDfs) {
+  std::mt19937 Rng(0xF0A11);
+  FormulaGen Gen(TM, Rng);
+  const Sort *IntBool = TM.getArraySort(TM.intSort(), TM.boolSort());
+  TermRef S = TM.mkVar("s", IntBool);
+  TermRef I = TM.mkVar("i", TM.intSort());
+  TermRef Bound = TM.mkVar("q", TM.intSort());
+  const FuncDecl *F = TM.getFuncDecl("f", {TM.boolSort()}, TM.intSort());
+  // Random formulas with Foralls anywhere in them, including under
+  // array stores and function applications.
+  std::function<TermRef(unsigned)> Mixed = [&](unsigned Depth) -> TermRef {
+    if (Depth == 0)
+      return Gen.boolFormula(2);
+    switch (Rng() % 6) {
+    case 0:
+      return TM.mkForall({Bound}, TM.mkOr(TM.mkLe(Bound, I), Mixed(Depth - 1)));
+    case 1:
+      return TM.mkAnd(Mixed(Depth - 1), Mixed(Depth - 1));
+    case 2:
+      return TM.mkIte(Mixed(Depth - 1), Mixed(Depth - 1), Mixed(Depth - 1));
+    case 3:
+      return TM.mkSelect(TM.mkStore(S, I, Mixed(Depth - 1)),
+                         TM.mkIntConst(int64_t(Rng() % 3)));
+    case 4:
+      return TM.mkLe(TM.mkApply(F, {Mixed(Depth - 1)}), I);
+    default:
+      return TM.mkNot(Mixed(Depth - 1));
+    }
+  };
+  unsigned WithForall = 0;
+  for (unsigned K = 0; K < 400; ++K) {
+    TermRef T = Mixed(1 + K % 4);
+    bool Expected = hasForallByDfs(T);
+    WithForall += Expected;
+    EXPECT_EQ(TM.containsQuantifier(T), Expected) << printTerm(T);
+  }
+  EXPECT_GT(WithForall, 50u);
+  EXPECT_LT(WithForall, 350u);
 }
 
 TEST_F(TermTest, PrinterRoundTripish) {
