@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "smt/Solver.h"
+#include "smt/SolverContext.h"
 
 #include <benchmark/benchmark.h>
 
@@ -56,9 +56,9 @@ static void BM_EufCongruenceChain(benchmark::State &State) {
       FB = TM.mkApply(F, {FB});
     }
     // a = b && f^n(a) != f^n(b): UNSAT via congruence.
-    Solver S(TM);
-    benchmark::DoNotOptimize(
-        S.checkSat(TM.mkAnd(TM.mkEq(A, B), TM.mkDistinct(FA, FB))));
+    SolverContext S(TM, {});
+    S.assertTerm(TM.mkAnd(TM.mkEq(A, B), TM.mkDistinct(FA, FB)));
+    benchmark::DoNotOptimize(S.checkSat());
   }
 }
 BENCHMARK(BM_EufCongruenceChain)->Arg(8)->Arg(32)->Arg(128);
@@ -75,8 +75,9 @@ static void BM_SimplexChain(benchmark::State &State) {
     for (int I = 0; I + 1 < N; ++I)
       Cs.push_back(TM.mkLt(Xs[I], Xs[I + 1]));
     Cs.push_back(TM.mkLt(Xs[N - 1], Xs[0]));
-    Solver S(TM);
-    benchmark::DoNotOptimize(S.checkSat(TM.mkAnd(Cs)));
+    SolverContext S(TM, {});
+    S.assertTerm(TM.mkAnd(Cs));
+    benchmark::DoNotOptimize(S.checkSat());
   }
 }
 BENCHMARK(BM_SimplexChain)->Arg(8)->Arg(32)->Arg(64);
@@ -98,8 +99,9 @@ static void BM_ParameterizedMapUpdate(benchmark::State &State) {
       Cs.push_back(TM.mkEq(TM.mkSelect(Upd, O), TM.mkSelect(M, O)));
     }
     // All frame equalities hold: SAT query exercising the reduction.
-    Solver S(TM);
-    benchmark::DoNotOptimize(S.checkSat(TM.mkAnd(Cs)));
+    SolverContext S(TM, {});
+    S.assertTerm(TM.mkAnd(Cs));
+    benchmark::DoNotOptimize(S.checkSat());
   }
 }
 BENCHMARK(BM_ParameterizedMapUpdate)->Arg(4)->Arg(16)->Arg(32);

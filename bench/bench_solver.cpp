@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Per-procedure solver benchmark across the SAT-core configurations:
-/// the default (with theory propagation) and --no-theory-prop (lazy
-/// full-model theory checks only). For every target procedure and
+/// the default (`--theory propagate`) and `--theory lazy` (full-model
+/// theory checks only). For every target procedure and
 /// configuration it reports wall-clock seconds plus the solver counters
 /// that explain the difference — conflicts, propagations, restarts,
 /// theory propagations — and writes everything to BENCH_solver.json.
@@ -44,13 +44,13 @@ struct Target {
 
 struct ConfigSpec {
   const char *Name;
-  bool TheoryProp;
+  smt::TheoryMode Theory;
 };
 
 // The production solver and its propagation-free baseline.
 const ConfigSpec Configs[] = {
-    {"default", true},
-    {"no-theory-prop", false},
+    {"default", smt::TheoryMode::Propagate},
+    {"lazy", smt::TheoryMode::Lazy},
 };
 
 const char *statusName(driver::Status St) {
@@ -138,7 +138,7 @@ int main(int Argc, char **Argv) {
       // Solver-only measurement: the impact checks are a separate,
       // uniformly cheap workload and would just add noise here.
       Opts.CheckImpacts = false;
-      Opts.TheoryProp = C.TheoryProp;
+      Opts.Theory = C.Theory;
       // Same guard rails as bench_table2: a configuration that cannot
       // finish reports a bounded 'unknown', not an open-ended run.
       Opts.QueryTimeoutSeconds = 300;

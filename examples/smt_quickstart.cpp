@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "smt/Solver.h"
+#include "smt/SolverContext.h"
 #include "smt/TermPrinter.h"
 
 #include <cstdio>
@@ -34,10 +34,11 @@ int main() {
       TM.mkNot(TM.mkMember(O, Mod)),
       TM.mkEq(TM.mkSelect(TM.mkPwIte(Mod, H, M), O), TM.mkSelect(M, O)));
   {
-    Solver S(TM);
-    Solver::Result R = S.checkSat(TM.mkNot(Claim));
+    // One context per check: assert, then decide once.
+    SolverContext S(TM, {});
+    S.assertTerm(TM.mkNot(Claim));
     printf("frame property of parameterized map updates: %s\n",
-           R == Solver::Result::Unsat ? "VALID" : "not valid?!");
+           S.checkSat() == SolverResult::Unsat ? "VALID" : "not valid?!");
   }
 
   // Rank repair: rank(z) = (rank(x)+rank(y))/2 with rank(x) < rank(y)
@@ -49,11 +50,10 @@ int main() {
       TM.mkImplies(TM.mkLt(RX, RY),
                    TM.mkAnd(TM.mkLt(RX, RZ), TM.mkLt(RZ, RY)));
   {
-    Solver S(TM);
+    SolverContext S(TM, {});
+    S.assertTerm(TM.mkNot(RankClaim));
     printf("rank midpoint strictly between: %s\n",
-           S.checkSat(TM.mkNot(RankClaim)) == Solver::Result::Unsat
-               ? "VALID"
-               : "not valid?!");
+           S.checkSat() == SolverResult::Unsat ? "VALID" : "not valid?!");
   }
 
   // A satisfiable set constraint, with its model.
@@ -62,8 +62,9 @@ int main() {
   TermRef F = TM.mkAnd(
       {TM.mkMember(X, A), TM.mkNot(TM.mkEq(A, TM.mkEmptySet(TM.locSort()))),
        TM.mkDistinct(X, TM.mkNil())});
-  Solver S(TM);
-  if (S.checkSat(F) == Solver::Result::Sat) {
+  SolverContext S(TM, {});
+  S.assertTerm(F);
+  if (S.checkSat() == SolverResult::Sat) {
     printf("satisfiable; model:\n%s", S.model().toString().c_str());
   }
   return 0;

@@ -83,10 +83,10 @@ const char *driver::usageText() {
       "                      from hardware concurrency)\n"
       "             --no-simp (disable the VC simplifier)\n"
       "             --no-cache (disable the structural query cache)\n"
-      "             --no-incremental (solve every query on the one-shot\n"
-      "                      reference solver)\n"
-      "             --no-theory-prop (disable DPLL(T) theory propagation;\n"
-      "                      the purely lazy differential baseline)\n"
+      "             --theory propagate|lazy|rebuild (how the theory engines\n"
+      "                      follow the SAT search: DPLL(T) propagation, the\n"
+      "                      default; full assignments only; or fresh engines\n"
+      "                      per full assignment, the differential reference)\n"
       "             --stats (print per-procedure pipeline statistics and\n"
       "                      the cumulative metrics registry)\n"
       "observability: --trace-out FILE (Chrome trace-event JSON of every\n"
@@ -153,10 +153,21 @@ CliArgs driver::parseCli(int Argc, const char *const *Argv) {
       A.Opts.SimplifyVc = false;
     } else if (Arg == "--no-cache") {
       A.Opts.CacheQueries = false;
-    } else if (Arg == "--no-incremental") {
-      A.Opts.Incremental = false;
-    } else if (Arg == "--no-theory-prop") {
-      A.Opts.TheoryProp = false;
+    } else if (Arg == "--theory") {
+      std::string V;
+      if (!takeValue(I, Arg, V))
+        return A;
+      if (V == "propagate") {
+        A.Opts.Theory = smt::TheoryMode::Propagate;
+      } else if (V == "lazy") {
+        A.Opts.Theory = smt::TheoryMode::Lazy;
+      } else if (V == "rebuild") {
+        A.Opts.Theory = smt::TheoryMode::Rebuild;
+      } else {
+        A.Error = "invalid value for --theory: '" + V +
+                  "' (expected propagate, lazy or rebuild)";
+        return A;
+      }
     } else if (Arg == "--no-reverify-cache") {
       A.Opts.ReuseProcVerdicts = false;
     } else if (Arg == "--stats") {

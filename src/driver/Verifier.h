@@ -95,12 +95,10 @@ struct VerifyOptions {
   /// testing) and the solver dispatch width.
   bool SimplifyVc = true;  ///< --no-simp
   bool CacheQueries = true; ///< --no-cache
-  /// Solve each query on a fresh SolverContext;
-  /// --no-incremental solves every query on the one-shot reference solver.
-  bool Incremental = true;
-  /// DPLL(T) theory propagation in SolverContext solves; --no-theory-prop
-  /// restores the purely lazy full-model behavior (differential baseline).
-  bool TheoryProp = true;
+  /// --theory propagate|lazy|rebuild: how the solver's theory engines
+  /// follow the SAT search (smt::TheoryMode; lazy and rebuild are the
+  /// differential baselines).
+  smt::TheoryMode Theory = smt::TheoryMode::Propagate;
   unsigned Jobs = 0;        ///< --jobs N; 0 auto-detects hardware threads
   /// Restrict verification to this procedure (empty = all).
   std::string OnlyProc;

@@ -40,13 +40,12 @@ pipeline::Options pipelineOptions(const VerifyOptions &Opts) {
   pipeline::Options P;
   P.Simplify = Opts.SimplifyVc;
   P.Cache = Opts.CacheQueries;
-  P.Incremental = Opts.Incremental;
   P.Jobs = Opts.Jobs;
   P.VcSplits = Opts.VcSplits;
   P.AllowQuantifiers = Opts.QuantifiedMode;
   P.MaxTheoryChecks = Opts.MaxTheoryChecks;
   P.QueryTimeoutSeconds = Opts.QueryTimeoutSeconds;
-  P.TheoryProp = Opts.TheoryProp;
+  P.Theory = Opts.Theory;
   return P;
 }
 

@@ -7,7 +7,6 @@
 #include "pipeline/Pipeline.h"
 
 #include "pipeline/Simplify.h"
-#include "smt/Solver.h"
 #include "smt/SolverContext.h"
 #include "support/JobManager.h"
 #include "support/Trace.h"
@@ -174,7 +173,7 @@ public:
       // rejects Unknowns itself too; the guard here keeps the intent at
       // the call site. In-batch duplicate sharing above is unaffected —
       // duplicates within one solve() ran under identical budgets.)
-      if (Cache && Out[Idx].O.R != Solver::Result::Unknown)
+      if (Cache && Out[Idx].O.R != SolverResult::Unknown)
         Cache->insert(Keys[Idx], Out[Idx].O);
     }
     // A duplicate shares its owner's outcome, except a Sat one whose
@@ -182,7 +181,7 @@ public:
     // again, for the duplicate's own obligation.
     std::vector<size_t> ReRun;
     for (auto [Dup, OwnerIdx] : Dups) {
-      if (Out[OwnerIdx].O.R == Solver::Result::Sat &&
+      if (Out[OwnerIdx].O.R == SolverResult::Sat &&
           !modelIsCounterexample(Units[Dup])) {
         ReRun.push_back(Dup);
         continue;
@@ -212,7 +211,7 @@ private:
   /// obligation.
   void replay(const Unit &U, Answer &A) {
     ++St.CacheHits;
-    if (A.O.R == Solver::Result::Sat) {
+    if (A.O.R == SolverResult::Sat) {
       A.Failing = U.Members[0];
       A.Counterexample = A.O.ModelText;
     }
@@ -236,40 +235,28 @@ private:
     }
   }
 
-  /// One solve of \p U's query. Quantifier-free queries get a fresh
-  /// SolverContext holding the query as its single assertion;
-  /// --no-incremental and the quantified encoding use the one-shot
-  /// reference Solver.
+  /// One solve of \p U's query: a fresh SolverContext holding the query
+  /// as its single assertion.
   Answer solveOne(const Unit &U) {
     // Snapshot overlay over the frozen base manager: the query term is
     // directly valid in the overlay's view, so there is no per-task
     // formula copy — the solver's own delta (CNF literals, lemma terms)
     // is all this task ever interns.
     TermManager Local(TM, TermManager::Snapshot{});
-    Solver::Options SOpts;
+    SolverOptions SOpts;
     SOpts.AllowQuantifiers = Opts.AllowQuantifiers;
     SOpts.MaxTheoryChecks = Opts.MaxTheoryChecks;
     SOpts.TimeoutSeconds = Opts.QueryTimeoutSeconds;
+    SOpts.Theory = Opts.Theory;
+    SolverContext Ctx(Local, SOpts);
+    Ctx.assertTerm(U.MainQuery);
     Answer A;
-    if (Opts.Incremental && !Opts.AllowQuantifiers) {
-      SOpts.TheoryPropagation = Opts.TheoryProp;
-      SolverContext Ctx(Local, SOpts);
-      Ctx.assertTerm(U.MainQuery);
-      A.O.R = Ctx.checkSat();
-      A.O.NumAtoms = Ctx.stats().NumAtoms;
-      A.O.NumArrayLemmas = Ctx.numArrayLemmas();
-      A.O.Why = Ctx.stats().Why;
-      if (A.O.R == Solver::Result::Sat)
-        refute(U, Ctx.model(), A);
-      return A;
-    }
-    Solver S(Local, SOpts);
-    A.O.R = S.checkSat(U.MainQuery);
-    A.O.NumAtoms = S.stats().NumAtoms;
-    A.O.NumArrayLemmas = S.stats().ArrayStats.NumLemmas;
-    A.O.Why = S.stats().Why;
-    if (A.O.R == Solver::Result::Sat)
-      refute(U, S.model(), A);
+    A.O.R = Ctx.checkSat();
+    A.O.NumAtoms = Ctx.stats().NumAtoms;
+    A.O.NumArrayLemmas = Ctx.numArrayLemmas();
+    A.O.Why = Ctx.stats().Why;
+    if (A.O.R == SolverResult::Sat)
+      refute(U, Ctx.model(), A);
     return A;
   }
 
@@ -319,13 +306,13 @@ private:
     return A;
   }
 
-  static const char *verdictName(Solver::Result R) {
+  static const char *verdictName(SolverResult R) {
     switch (R) {
-    case Solver::Result::Sat:
+    case SolverResult::Sat:
       return "sat";
-    case Solver::Result::Unsat:
+    case SolverResult::Unsat:
       return "unsat";
-    case Solver::Result::Unknown:
+    case SolverResult::Unknown:
       break;
     }
     return "unknown";
@@ -470,7 +457,7 @@ pipeline::Result pipeline::solveObligations(
     const Answer &A = Answers[U];
     if (A.Failing != NoMember)
       Decided[A.Failing] = &A;
-    else if (A.O.R != Solver::Result::Unsat)
+    else if (A.O.R != SolverResult::Unsat)
       for (size_t M : Units[U].Members)
         Decided[M] = &A;
   }
@@ -491,8 +478,8 @@ pipeline::Result pipeline::solveObligations(
     R.FailedDescription =
         Obls[I].Description + " (at " + Obls[I].Loc.toString() +
         "): " +
-        describe(O.R == Solver::Result::Sat ? UnknownReason::ModelIncomplete
-                                            : O.Why);
+        describe(O.R == SolverResult::Sat ? UnknownReason::ModelIncomplete
+                                          : O.Why);
     return R;
   }
   return R;

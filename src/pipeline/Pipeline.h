@@ -10,13 +10,14 @@
 /// structural query cache (QueryCache.h), and every surviving query is
 /// an independent task on a FIFO thread pool (support/JobManager.h).
 /// Each task solves its query on a fresh SolverContext, the query as its
-/// single assertion, in a snapshot overlay of the (frozen) caller
-/// TermManager, so workers share the read-mostly term structure and pay
-/// only for their own delta. The same task turns a Sat model into the
-/// counterexample of the unsimplified obligation (extendModel in
-/// Simplify.h): no obligation is solved twice. Every stage is
-/// independently disableable (`--no-simp`, `--no-cache`, `--jobs 1`) so
-/// the transforms can be tested differentially.
+/// single assertion, under the theory mode of Options::Theory (quantified
+/// queries too: the context instantiates them), in a snapshot overlay of
+/// the (frozen) caller TermManager, so workers share the read-mostly term
+/// structure and pay only for their own delta. The same task turns a Sat
+/// model into the counterexample of the unsimplified obligation
+/// (extendModel in Simplify.h): no obligation is solved twice. Every
+/// stage is independently disableable (`--no-simp`, `--no-cache`,
+/// `--jobs 1`) so the transforms can be tested differentially.
 ///
 /// This replaces the driver's former monolithic conjoin-and-refute loop:
 /// per-obligation queries are exactly the independently decidable units
@@ -44,10 +45,6 @@ struct Options {
   bool Simplify = true;
   /// Consult/populate the structural query cache (--no-cache disables).
   bool Cache = true;
-  /// Solve each quantifier-free query on a fresh SolverContext (theory
-  /// propagation, persistent theory engines). --no-incremental solves
-  /// every query on the one-shot reference Solver instead.
-  bool Incremental = true;
   /// Worker threads for solver dispatch (--jobs N); 1 = serial, 0 =
   /// auto-detect from hardware concurrency.
   unsigned Jobs = 0;
@@ -63,10 +60,9 @@ struct Options {
   bool AllowQuantifiers = false;
   uint64_t MaxTheoryChecks = 0;
   double QueryTimeoutSeconds = 0;
-  /// DPLL(T) theory propagation in SolverContext solves
-  /// (--no-theory-prop disables, the differential baseline restoring
-  /// purely lazy full-model checking).
-  bool TheoryProp = true;
+  /// How each query's theory engines follow the SAT search (--theory);
+  /// Lazy and Rebuild are the differential baselines.
+  smt::TheoryMode Theory = smt::TheoryMode::Propagate;
   /// Attribution label for spans and slow-query records (the procedure
   /// or impact-check name this batch of obligations belongs to). Purely
   /// observational; empty is fine.

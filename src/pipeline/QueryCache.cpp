@@ -44,7 +44,7 @@ bool QueryCache::lookup(const Key &K, Outcome &Out, bool UnsatOnly) const {
   Lookups.add();
   auto It = Map.find(K);
   if (It == Map.end() ||
-      (UnsatOnly && It->second.O.R == smt::Solver::Result::Sat))
+      (UnsatOnly && It->second.O.R == smt::SolverResult::Sat))
     return false;
   ++Stats.Hits;
   Hits.add();
@@ -61,7 +61,7 @@ void QueryCache::insert(const Key &K, Outcome O) {
   // the query; caching one would answer a later, better-resourced solve
   // of the same query with the starved verdict. Drop it at the door so no
   // caller can poison the cache (least of all the persistent one).
-  if (O.R == smt::Solver::Result::Unknown)
+  if (O.R == smt::SolverResult::Unknown)
     return;
   std::lock_guard<std::mutex> Lock(Mutex);
   auto [It, Inserted] = Map.emplace(K, Entry{std::move(O), false});
@@ -89,7 +89,7 @@ void QueryCache::appendLocked(const Key &K, const Outcome &O) {
   // from a crash is still possible and still tolerated by loadLocked).
   char Header[96];
   int Len;
-  if (O.R == smt::Solver::Result::Sat)
+  if (O.R == smt::SolverResult::Sat)
     Len = snprintf(Header, sizeof(Header),
                    "S %016" PRIx64 " %016" PRIx64 " %u %u %zu\n", K.Lo, K.Hi,
                    O.NumAtoms, O.NumArrayLemmas, O.ModelText.size());
@@ -98,7 +98,7 @@ void QueryCache::appendLocked(const Key &K, const Outcome &O) {
                    "U %016" PRIx64 " %016" PRIx64 " %u %u\n", K.Lo, K.Hi,
                    O.NumAtoms, O.NumArrayLemmas);
   std::string Rec(Header, Len);
-  if (O.R == smt::Solver::Result::Sat) {
+  if (O.R == smt::SolverResult::Sat) {
     Rec += O.ModelText;
     Rec += '\n';
   }
@@ -119,7 +119,7 @@ size_t QueryCache::loadLocked(std::FILE *F) {
       if (fscanf(F, "%" SCNx64 " %" SCNx64 " %u %u", &K.Lo, &K.Hi, &Atoms,
                  &Lemmas) != 4)
         break;
-      O.R = smt::Solver::Result::Unsat;
+      O.R = smt::SolverResult::Unsat;
     } else if (Tag == 'S') {
       size_t Len = 0;
       if (fscanf(F, "%" SCNx64 " %" SCNx64 " %u %u %zu", &K.Lo, &K.Hi, &Atoms,
@@ -130,7 +130,7 @@ size_t QueryCache::loadLocked(std::FILE *F) {
       O.ModelText.resize(Len);
       if (Len > 0 && fread(&O.ModelText[0], 1, Len, F) != Len)
         break;
-      O.R = smt::Solver::Result::Sat;
+      O.R = smt::SolverResult::Sat;
     } else {
       break; // unknown tag: stop at the last well-formed record
     }

@@ -34,7 +34,7 @@
 #ifndef IDS_PIPELINE_QUERYCACHE_H
 #define IDS_PIPELINE_QUERYCACHE_H
 
-#include "smt/Solver.h"
+#include "smt/SolverTypes.h"
 #include "smt/Term.h"
 
 #include <cstdint>
@@ -49,7 +49,7 @@ namespace pipeline {
 class QueryCache {
 public:
   struct Outcome {
-    smt::Solver::Result R = smt::Solver::Result::Unknown;
+    smt::SolverResult R = smt::SolverResult::Unknown;
     std::string ModelText; ///< countermodel when R == Sat
     unsigned NumAtoms = 0;
     unsigned NumArrayLemmas = 0;

@@ -180,18 +180,6 @@ TermRef smt::liftItes(TermManager &TM, TermRef Formula) {
   return L.run(Formula);
 }
 
-TermRef smt::reduceArrays(TermManager &TM, TermRef Formula,
-                          ArrayReductionStats *Stats, bool Eager) {
-  ArrayReducer R(TM, Eager);
-  std::vector<TermRef> Lemmas = R.assertFormula(Formula);
-  if (Stats)
-    *Stats = R.stats();
-  if (Lemmas.empty())
-    return Formula;
-  Lemmas.push_back(Formula);
-  return TM.mkAnd(std::move(Lemmas));
-}
-
 //===----------------------------------------------------------------------===//
 // ArrayReducer: incremental demand closure.
 //===----------------------------------------------------------------------===//

@@ -16,6 +16,10 @@
 /// conditions live in the quantifier-free generalized array theory of
 /// de Moura & Bjorner (FMCAD'09), which admits exactly this reduction.
 ///
+/// The reduction runs inside SolverContext::assertTerm: an ArrayReducer
+/// per context returns the lemmas each assertion demands, and the context
+/// asserts them alongside it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IDS_SMT_ARRAYREDUCTION_H
@@ -36,21 +40,11 @@ struct ArrayReductionStats {
   unsigned NumWitnesses = 0;
 };
 
-/// Returns \p Formula conjoined with the reduction lemmas (one
-/// ArrayReducer over the whole formula). \p Formula must be ite-lifted (no
-/// non-boolean ite nodes) and quantifier-free. \p Eager adds the blind
-/// composite-times-every-same-sort-index product: quadratically larger,
-/// kept as the reference the fuzz differentials compare the demand
-/// closure against.
-TermRef reduceArrays(TermManager &TM, TermRef Formula,
-                     ArrayReductionStats *Stats = nullptr,
-                     bool Eager = false);
-
 /// Replaces every non-boolean ite subterm by a fresh constant constrained
 /// by `(cond => v = then) && (!cond => v = else)` hoisted to the top level.
 TermRef liftItes(TermManager &TM, TermRef Formula);
 
-/// The demand closure behind both solver drivers. Selects seed demands,
+/// The demand closure behind the SolverContext. Selects seed demands,
 /// and so does every store at its own index (the select that folds to its
 /// value); demands peel through store/combinator structure, flow across
 /// array-equality atoms and up through the operand closure of equality
@@ -62,7 +56,10 @@ TermRef liftItes(TermManager &TM, TermRef Formula);
 /// rules are monotone, so the lemma SET does not depend on how the
 /// assertions are split; only the emission order does. Every lemma is
 /// returned up front: its size depends only on the asserted VC, never on
-/// the search.
+/// the search. \p Eager (SolverOptions::EagerArrayInstantiation) adds the
+/// blind composite-times-every-same-sort-index product: quadratically
+/// larger, kept as the reference the fuzz differentials compare the
+/// demand closure against.
 class ArrayReducer {
 public:
   explicit ArrayReducer(TermManager &TM, bool Eager = false)

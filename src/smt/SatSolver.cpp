@@ -368,7 +368,7 @@ bool SatSolver::learnConflict(std::vector<Lit> Lits) {
   }
   // Theory-aware branching: atoms the theory had to refute are the ones
   // worth deciding early. Gated on the propagation flag so the
-  // --no-theory-prop baseline keeps the historical branching order.
+  // lazy baseline (--theory lazy) keeps the historical branching order.
   if (TheoryPropEnabled) {
     for (Lit L : Final)
       bumpVar(L.var());

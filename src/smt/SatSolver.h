@@ -134,7 +134,7 @@ public:
 
   // ---------------------------------------------- Theory propagation --
   /// Enables the propagatePartial hook and theory-trail maintenance.
-  /// Off by default; --no-theory-prop is the differential baseline.
+  /// Off by default; on only under TheoryMode::Propagate.
   void setTheoryPropagation(bool Enabled) { TheoryPropEnabled = Enabled; }
   bool theoryPropagation() const { return TheoryPropEnabled; }
   /// Declares \p V a theory atom: its assignments are mirrored onto the

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The smt.* registry cells, resolved once per process. Both solver
-/// drivers add a check through SolverCore::recordCheck: a Solver or
-/// SolverContext is checked once, so its SatSolver and SolverStats totals
-/// are the check's counts.
+/// The smt.* registry cells, resolved once per process. A SolverContext
+/// adds its check through SolverCore::recordCheck: a context is checked
+/// once, so its SatSolver and SolverStats totals are the check's counts.
+/// smt.instantiations counts the ground instances of the quantified
+/// (`--quant`) encoding and reads 0 on quantifier-free runs.
 ///
 //===----------------------------------------------------------------------===//
 

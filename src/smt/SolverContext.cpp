@@ -6,6 +6,7 @@
 
 #include "smt/SolverContext.h"
 
+#include "smt/QuantInst.h"
 #include "support/Log.h"
 
 #include <chrono>
@@ -16,20 +17,23 @@ using namespace ids;
 using namespace ids::smt;
 
 SolverContext::SolverContext(TermManager &TM, SolverOptions O)
-    : Core(TM, std::move(O)), Reducer(TM), Engine(Core, /*Persistent=*/true) {
-  assert(!Core.Opts.AllowQuantifiers &&
-         "SolverContext is quantifier-free only");
-  assert(!Core.Opts.EagerArrayInstantiation &&
-         "the blind array product is a one-shot reference only");
-  Core.Sat.setTheoryPropagation(Core.Opts.TheoryPropagation);
+    : Core(TM, std::move(O)), Reducer(TM, Core.Opts.EagerArrayInstantiation),
+      Engine(Core) {
+  Core.Sat.setTheoryPropagation(Core.Opts.Theory == TheoryMode::Propagate);
 }
 
 SolverContext::~SolverContext() = default;
 
 void SolverContext::assertTerm(TermRef F) {
   assert(!Core.EvalFormula && "assertTerm after checkSat");
-  assert(!Core.TM.containsQuantifier(F) &&
-         "quantifier asserted into a QF context");
+  if (Core.TM.containsQuantifier(F)) {
+    assert(Core.Opts.AllowQuantifiers &&
+           "quantifier encountered in quantifier-free mode");
+    QuantInstResult QR = instantiateQuantifiers(Core.TM, F);
+    F = QR.Formula;
+    InstantiationComplete &= QR.Complete;
+    Core.St.Instantiations += QR.NumInstantiations;
+  }
   TermRef Lifted = liftItes(Core.TM, F);
   Asserted.push_back(Lifted);
   // The formula and the array lemmas it demands.
@@ -39,8 +43,8 @@ void SolverContext::assertTerm(TermRef F) {
   for (TermRef A : Encoded)
     addClauses(A);
   // Pre-register the theory structure of everything just encoded (a no-op
-  // under --no-theory-prop): term graph and watches land at the base of
-  // the theory trails.
+  // unless TheoryMode::Propagate): term graph and watches land at the base
+  // of the theory trails.
   Engine.preRegister(Encoded);
 }
 
@@ -90,6 +94,11 @@ SolverContext::Result SolverContext::checkSat() {
       R = Result::Unknown;
     else
       R = SR == sat::SatSolver::Result::Unsat ? Result::Unsat : Result::Sat;
+  }
+  // A Sat answer is only as good as the instantiation behind it.
+  if (R == Result::Sat && !InstantiationComplete) {
+    Core.giveUp(UnknownReason::Instantiation);
+    R = Result::Unknown;
   }
   Core.St.NumAtoms = static_cast<unsigned>(Core.Atoms.size());
   Core.St.ArrayStats = Reducer.stats();

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Result/options/statistics types shared by the one-shot Solver and the
-/// SolverContext (and the TheoryEngine underneath both).
+/// Result/options/statistics types of the SolverContext and the
+/// TheoryEngine underneath it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +35,19 @@ enum class UnknownReason : uint8_t {
 /// The reason as the obligation report prints it.
 const char *describe(UnknownReason R);
 
+/// How the theory engines follow the SAT search (`--theory`).
+enum class TheoryMode : uint8_t {
+  /// Persistent engines synced to the SAT trail, plus DPLL(T) propagation
+  /// of entailed atoms on partial assignments. The default.
+  Propagate,
+  /// Persistent engines consulted on full assignments only: the lazy
+  /// baseline that propagation must agree with.
+  Lazy,
+  /// Fresh engines rebuilt from the assigned atoms on every full
+  /// assignment: the simplest engine, kept as the differential reference.
+  Rebuild,
+};
+
 struct SolverOptions {
   /// Permit Forall terms and run ground instantiation first (the
   /// "Dafny-style" encoding of RQ3). Off by default: QF-mode asserts
@@ -47,16 +60,11 @@ struct SolverOptions {
   uint64_t MaxTheoryChecks = 0;
   /// Wall-clock budget per checkSat call in seconds (0 = unlimited).
   double TimeoutSeconds = 0;
-  /// One-shot Solver only: add the blind (quadratic) array product to
-  /// the demand closure. The fuzz differentials use it as their
-  /// reference; a SolverContext always asserts the demand closure alone.
+  /// Add the blind (quadratic) array product to the demand closure. The
+  /// fuzz differentials use it as their reference; the pipeline never
+  /// sets it.
   bool EagerArrayInstantiation = false;
-  /// DPLL(T) theory propagation in a SolverContext: assert atoms
-  /// entailed by the partial trail (CC equality watches, arithmetic bound
-  /// watches) instead of waiting for a full propositional model. On by
-  /// default; --no-theory-prop is the differential baseline and restores
-  /// the purely lazy full-model behavior bit for bit.
-  bool TheoryPropagation = true;
+  TheoryMode Theory = TheoryMode::Propagate;
 };
 
 struct SolverStats {
@@ -74,13 +82,12 @@ struct SolverStats {
   UnknownReason Why = UnknownReason::None;
   uint64_t Instantiations = 0;
   unsigned NumAtoms = 0;
-  /// SolverContext counter: atom assertions skipped because the
-  /// persistent theory engines were already synced to a shared SAT-trail
-  /// prefix.
+  /// Atom assertions skipped because the persistent theory engines were
+  /// already synced to a shared SAT-trail prefix.
   uint64_t TheoryAssertsReused = 0;
-  /// SolverContext counter: term registrations skipped because the term
-  /// was already in the congruence-closure graph (a subterm shared by
-  /// several atoms or lemmas).
+  /// Term registrations skipped because the term was already in the
+  /// congruence-closure graph (a subterm shared by several atoms or
+  /// lemmas).
   uint64_t CcRegistrationsReused = 0;
   ArrayReductionStats ArrayStats;
 };

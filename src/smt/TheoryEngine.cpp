@@ -166,10 +166,10 @@ constexpr int DefinitionTag = -8;
 constexpr unsigned MaxModelRepairIters = 8;
 } // namespace ids::smt
 
-TheoryEngine::TheoryEngine(SolverCore &C, bool Persistent)
-    : C(C), TM(C.TM), Persistent(Persistent),
-      PropMode(Persistent && C.Opts.TheoryPropagation) {
-  if (Persistent) {
+TheoryEngine::TheoryEngine(SolverCore &C)
+    : C(C), TM(C.TM), Rebuild(C.Opts.Theory == TheoryMode::Rebuild),
+      PropMode(C.Opts.Theory == TheoryMode::Propagate) {
+  if (!Rebuild) {
     CC = std::make_unique<CongruenceClosure>(TM);
     Arith = std::make_unique<ArithSolver>();
   }
@@ -923,7 +923,7 @@ bool TheoryEngine::syncAssert(std::vector<sat::Lit> &ConflictOut,
 }
 
 void TheoryEngine::resetSyncedLevels() {
-  if (!Persistent)
+  if (Rebuild)
     return;
   if (ScratchPushed) {
     popTheoryLevel();
@@ -962,19 +962,22 @@ bool TheoryEngine::onFullModel(std::vector<sat::Lit> &ConflictOut) {
 
   CompositeExpl.clear();
   AssertedCCEqualities.clear();
-  if (!Persistent) {
-    // One-shot mode: rebuild the theory engines for this assignment.
+  if (Rebuild) {
+    // Fresh theory engines over this assignment's atoms. Unconstrained
+    // atoms stay unassigned (see atomAssigned) and are skipped, as the
+    // trail sync skips them.
     CC = std::make_unique<CongruenceClosure>(TM);
     Arith = std::make_unique<ArithSolver>();
     ArithVars.clear();
     OpaqueNumeric.clear();
     VarOfTerm.clear();
     for (size_t I = 0; I < C.Atoms.size(); ++I)
-      if (!assertOneAtom(static_cast<int>(I), ConflictOut))
+      if (atomAssigned(static_cast<int>(I)) &&
+          !assertOneAtom(static_cast<int>(I), ConflictOut))
         return false;
   } else {
-    // Persistent mode: pop to the longest common trail prefix and assert
-    // only the diverging suffix, one undo level per atom.
+    // Pop to the longest common trail prefix and assert only the
+    // diverging suffix, one undo level per atom.
     if (!syncAssert(ConflictOut, /*CountReuse=*/true))
       return false;
     // Everything below is assignment-specific (exchange equalities,

@@ -5,29 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The theory side of the CDCL(T) loop, shared by the one-shot Solver and
-/// the SolverContext:
+/// The theory side of the SolverContext's CDCL(T) loop:
 ///
-///  - SolverCore holds the state both drivers own: the SAT core, the
+///  - SolverCore holds the state the context owns: the SAT core, the
 ///    Tseitin literal cache, the theory-atom table, the evaluation safety
 ///    net, the model and the one counter fold of a check.
 ///  - TheoryEngine is the TheoryCallback invoked on full propositional
 ///    assignments. It runs congruence closure and simplex to fixpoint
 ///    with Nelson-Oppen style equality exchange, constructs a candidate
-///    model, and validates it against the original formula.
+///    model, and validates it against the asserted formulas.
 ///
-/// TheoryEngine has two modes. In one-shot mode (the historical behavior)
-/// it rebuilds the theory engines from scratch on every full assignment.
-/// In persistent mode it keeps backtrackable CongruenceClosure/ArithSolver
-/// instances synced to the SAT assignment trail: one undo level per
-/// assigned atom, so consecutive theory checks pop to the longest common
-/// trail prefix and re-assert only the diverging suffix — with phase
-/// saving and backjumping, that suffix is typically a small fraction of
-/// the assignment. Exchange equalities, probes and model-repair
-/// separations live in an extra scratch level popped at the start of the
-/// next check, so nothing assignment-specific leaks across checks. These
-/// CC and simplex levels follow the SAT trail only: a context's
-/// assertions are registered once, at the base, and never retracted.
+/// SolverOptions::Theory picks how the engines follow the search. Under
+/// Rebuild the engines are built from scratch, over the assigned atoms,
+/// on every full assignment. Under Lazy and Propagate they are
+/// persistent, backtrackable CongruenceClosure/ArithSolver instances
+/// synced to the SAT assignment trail: one undo level per assigned atom,
+/// so consecutive theory checks pop to the longest common trail prefix
+/// and re-assert only the diverging suffix — with phase saving and
+/// backjumping, that suffix is typically a small fraction of the
+/// assignment. Exchange equalities, probes and model-repair separations
+/// live in an extra scratch level popped at the start of the next check,
+/// so nothing assignment-specific leaks across checks. These CC and
+/// simplex levels follow the SAT trail only: a context's assertions are
+/// registered once, at the base, and never retracted. Propagate adds
+/// DPLL(T) propagation on partial assignments (propagatePartial).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,8 +51,7 @@
 namespace ids {
 namespace smt {
 
-/// State shared between a solver driver (Solver or SolverContext) and its
-/// TheoryEngine.
+/// State shared between a SolverContext and its TheoryEngine.
 struct SolverCore {
   SolverCore(TermManager &TM, SolverOptions O) : TM(TM), Opts(std::move(O)) {}
 
@@ -86,17 +86,17 @@ struct SolverCore {
   sat::Lit litFor(TermRef T);
 };
 
-/// The per-full-model theory check. Construct once per solve (one-shot
-/// mode) or once per context (persistent mode).
+/// The per-full-model theory check, one per context, in the mode
+/// C.Opts.Theory names.
 class TheoryEngine : public sat::TheoryCallback {
 public:
-  TheoryEngine(SolverCore &C, bool Persistent);
+  explicit TheoryEngine(SolverCore &C);
   ~TheoryEngine() override;
 
   bool onFullModel(std::vector<sat::Lit> &ConflictOut) override;
 
-  /// DPLL(T) theory propagation (persistent mode with TheoryPropagation
-  /// on; a no-op otherwise): syncs the theory stack to the partial SAT
+  /// DPLL(T) theory propagation (TheoryMode::Propagate; a no-op
+  /// otherwise): syncs the theory stack to the partial SAT
   /// trail, reports conflicts early, and proposes unassigned atoms whose
   /// truth value is already entailed — CC-entailed (dis)equalities via the
   /// equality watches, bound-implied arithmetic atoms via the bound-change
@@ -145,7 +145,7 @@ private:
   Value valueOfTerm(TermRef T);
   void solveArraySort(const Sort *S);
 
-  /// Persistent mode: pop the scratch level and every synced atom level
+  /// Lazy and Propagate: pop the scratch level and every synced atom level
   /// that diverges from the current SAT trail, then return the number of
   /// atoms already in sync (the reuse window).
   size_t syncToTrail();
@@ -180,7 +180,8 @@ private:
 
   SolverCore &C;
   TermManager &TM;
-  const bool Persistent;
+  /// TheoryMode::Rebuild: fresh engines on every full assignment.
+  const bool Rebuild;
   std::unique_ptr<CongruenceClosure> CC;
   std::unique_ptr<ArithSolver> Arith;
   std::unordered_map<TermRef, int> ArithVars;
@@ -193,7 +194,7 @@ private:
   std::vector<std::vector<int>> CompositeExpl;
   std::set<std::pair<TermRef, TermRef>> AssertedCCEqualities;
 
-  // Persistent-mode sync state.
+  // Trail-sync state (Lazy and Propagate).
   std::vector<std::pair<int, bool>> SyncedAtoms; // (atom idx, polarity)
   std::vector<std::pair<int, bool>> CurAtomTrail; // scratch for syncToTrail
   std::vector<size_t> LevelOpaqueSize; // OpaqueNumeric size per level
@@ -201,10 +202,10 @@ private:
   std::vector<int> VarToAtom; // sat var -> atom idx (or -1)
   size_t MappedAtoms = 0;     // VarToAtom covers atoms below this index
 
-  // Theory-propagation state (persistent mode, TheoryPropagation on).
+  // Theory-propagation state (TheoryMode::Propagate).
   /// Propagation mode: persistent engines plus the propagatePartial hook.
   /// False keeps the engine byte-identical to the propagation-free
-  /// behavior (--no-theory-prop, the differential baseline).
+  /// behavior (TheoryMode::Lazy, the differential baseline).
   const bool PropMode;
   uint64_t PropCalls = 0; // deadline probe divisor
   /// SatSolver::theoryTrailResets() at the last sync. While unchanged the

@@ -140,9 +140,10 @@ TEST(CliTest, ServeTakesNoInputArgument) {
 
 TEST(CliTest, NumericFlagsRejectGarbage) {
   // The regression this parser exists for: atoi("abc") == 0 used to mean
-  // "every core", and (unsigned)atoi("-4") was ~4 billion workers.
-  for (const char *Flag :
-       {"--jobs", "--splits", "--budget", "--timeout", "--request-timeout"}) {
+  // "every core", and (unsigned)atoi("-4") was ~4 billion workers. The
+  // --theory enum rejects the same garbage.
+  for (const char *Flag : {"--jobs", "--splits", "--budget", "--timeout",
+                           "--request-timeout", "--theory"}) {
     for (const char *Bad : {"abc", "-4", "", "12x", "--stats"}) {
       driver::CliArgs A = parse({Flag, Bad});
       EXPECT_FALSE(A.ok()) << Flag << " " << Bad;
@@ -162,7 +163,7 @@ TEST(CliTest, NumericFlagsRejectGarbage) {
 TEST(CliTest, MissingArgumentNamesTheFlag) {
   for (const char *Flag :
        {"--jobs", "--splits", "--budget", "--timeout", "--request-timeout",
-        "--proc", "--benchmark", "--cache-dir", "--trace-out",
+        "--theory", "--proc", "--benchmark", "--cache-dir", "--trace-out",
         "--stats-json", "--slow-query-ms", "--slow-query-log"}) {
     driver::CliArgs A = parse({Flag});
     EXPECT_FALSE(A.ok()) << Flag;
@@ -174,6 +175,9 @@ TEST(CliTest, UnknownOptionRejected) {
   driver::CliArgs A = parse({"--no-such-flag"});
   EXPECT_FALSE(A.ok());
   EXPECT_NE(A.Error.find("unknown option"), std::string::npos);
+  // The solver-engine flags that --theory replaced are gone.
+  EXPECT_FALSE(parse({"--no-incremental"}).ok());
+  EXPECT_FALSE(parse({"--no-theory-prop"}).ok());
 }
 
 TEST(CliTest, ValuesLandInOptions) {
@@ -181,8 +185,9 @@ TEST(CliTest, ValuesLandInOptions) {
       parse({"--jobs", "4", "--splits", "8", "--budget", "100", "--timeout",
              "1.5", "--request-timeout", "30", "--proc", "insert",
              "--cache-dir", "/tmp/c", "--no-reverify-cache", "--stats",
-             "--benchmark", "bst"});
+             "--theory", "lazy", "--benchmark", "bst"});
   ASSERT_TRUE(A.ok()) << A.Error;
+  EXPECT_EQ(A.Opts.Theory, smt::TheoryMode::Lazy);
   EXPECT_EQ(A.Opts.Jobs, 4u);
   EXPECT_EQ(A.Opts.VcSplits, 8u);
   EXPECT_EQ(A.Opts.MaxTheoryChecks, 100u);

@@ -14,7 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/Pipeline.h"
-#include "smt/Solver.h"
+#include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,9 @@ using namespace ids::pipeline;
 using namespace ids::smt;
 
 namespace {
+
+const TheoryMode AllTheoryModes[] = {TheoryMode::Propagate, TheoryMode::Lazy,
+                                     TheoryMode::Rebuild};
 
 vcgen::Obligation obligation(TermRef Guard, TermRef Claim,
                              const char *Desc) {
@@ -76,8 +79,9 @@ TEST(TermImportTest, RoundTripsAcrossManagers) {
   // Importing twice is stable (memoised).
   EXPECT_EQ(Dst.import(Formula), Imported);
   // And the import is solvable in its new home.
-  Solver S(Dst);
-  EXPECT_EQ(S.checkSat(Imported), Solver::Result::Sat);
+  SolverContext S(Dst, {});
+  S.assertTerm(Imported);
+  EXPECT_EQ(S.checkSat(), SolverResult::Sat);
 }
 
 TEST(QueryCacheTest, KeyDistinguishesStructure) {
@@ -221,9 +225,9 @@ TEST(PipelineReportTest, UnknownNamesItsCause) {
     return S.size() >= Suffix.size() &&
            S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
   };
-  for (bool Incremental : {true, false}) {
+  for (TheoryMode Theory : AllTheoryModes) {
     Options Budgeted;
-    Budgeted.Incremental = Incremental;
+    Budgeted.Theory = Theory;
     Budgeted.MaxTheoryChecks = 1;
     Result R = solveObligations(TM, Obls, Budgeted, nullptr);
     ASSERT_EQ(R.V, Verdict::Unknown);
@@ -232,7 +236,7 @@ TEST(PipelineReportTest, UnknownNamesItsCause) {
         << R.FailedDescription;
 
     Options Timed;
-    Timed.Incremental = Incremental;
+    Timed.Theory = Theory;
     Timed.QueryTimeoutSeconds = 1e-9;
     R = solveObligations(TM, Obls, Timed, nullptr);
     ASSERT_EQ(R.V, Verdict::Unknown);
@@ -305,10 +309,10 @@ TEST(PipelineTest, UnknownOnBudgetExhaustion) {
   EXPECT_NE(R.V, Verdict::Failed);
 }
 
-TEST(PipelineTest, ContextAndOneShotSolvesAgree) {
-  // Obligations sharing a long guard prefix: the per-query SolverContext
-  // and the one-shot reference solver must agree on every verdict,
-  // including the failing obligation's counterexample.
+TEST(PipelineTest, TheoryModesAgree) {
+  // Obligations sharing a long guard prefix: every theory mode must
+  // agree on every verdict, including the failing obligation's
+  // counterexample.
   TermManager TM;
   TermRef X = TM.mkVar("x", TM.intSort());
   TermRef Y = TM.mkVar("y", TM.intSort());
@@ -326,14 +330,14 @@ TEST(PipelineTest, ContextAndOneShotSolvesAgree) {
       obligation(Prefix, TM.mkEq(X, Z), "wrong-eq"),
       obligation(Prefix, TM.mkLe(TM.mkIntConst(9), TM.mkSelect(A, Z)),
                  "read-two")};
-  for (bool Incremental : {true, false}) {
+  for (TheoryMode Theory : AllTheoryModes) {
     Options Opts;
     Opts.Simplify = false; // keep every obligation solver-bound
-    Opts.Incremental = Incremental;
+    Opts.Theory = Theory;
     Result R = solveObligations(TM, Obls, Opts, nullptr);
-    EXPECT_EQ(R.V, Verdict::Failed) << "incremental=" << Incremental;
+    EXPECT_EQ(R.V, Verdict::Failed) << "theory mode " << int(Theory);
     EXPECT_NE(R.FailedDescription.find("wrong-eq"), std::string::npos)
-        << "incremental=" << Incremental;
+        << "theory mode " << int(Theory);
     EXPECT_FALSE(R.Counterexample.empty());
   }
 }

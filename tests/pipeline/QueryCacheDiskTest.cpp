@@ -47,7 +47,7 @@ protected:
 
 QueryCache::Outcome unsatOutcome(unsigned Atoms) {
   QueryCache::Outcome O;
-  O.R = Solver::Result::Unsat;
+  O.R = SolverResult::Unsat;
   O.NumAtoms = Atoms;
   O.NumArrayLemmas = Atoms / 2;
   return O;
@@ -56,7 +56,7 @@ QueryCache::Outcome unsatOutcome(unsigned Atoms) {
 TEST_F(QueryCacheDiskTest, RoundTripsAcrossInstances) {
   QueryCache::Key K1{0x1111, 0x2222}, K2{0x3333, 0x4444};
   QueryCache::Outcome Sat;
-  Sat.R = Solver::Result::Sat;
+  Sat.R = SolverResult::Sat;
   Sat.ModelText = "x = 1\ny = 2\n"; // multi-line model text must survive
   Sat.NumAtoms = 7;
   {
@@ -73,10 +73,10 @@ TEST_F(QueryCacheDiskTest, RoundTripsAcrossInstances) {
   EXPECT_EQ(B.diskStats().LoadedFromDisk, 2u);
   QueryCache::Outcome Out;
   ASSERT_TRUE(B.lookup(K1, Out));
-  EXPECT_EQ(Out.R, Solver::Result::Unsat);
+  EXPECT_EQ(Out.R, SolverResult::Unsat);
   EXPECT_EQ(Out.NumAtoms, 5u);
   ASSERT_TRUE(B.lookup(K2, Out));
-  EXPECT_EQ(Out.R, Solver::Result::Sat);
+  EXPECT_EQ(Out.R, SolverResult::Sat);
   EXPECT_EQ(Out.ModelText, Sat.ModelText);
   EXPECT_EQ(Out.NumAtoms, 7u);
   EXPECT_EQ(B.diskStats().DiskHits, 2u);
@@ -145,7 +145,7 @@ TEST_F(QueryCacheDiskTest, VersionMismatchDiscardsFile) {
 
 QueryCache::Outcome satOutcome(unsigned Seed) {
   QueryCache::Outcome O;
-  O.R = Solver::Result::Sat;
+  O.R = SolverResult::Sat;
   O.NumAtoms = Seed;
   // Multi-line model text: the payload that a torn or interleaved append
   // would corrupt first.
@@ -183,10 +183,10 @@ TEST_F(QueryCacheDiskTest, ManyWritersProduceNoTornRecords) {
     QueryCache::Outcome Out;
     ASSERT_TRUE(B.lookup({Seed, ~uint64_t(Seed)}, Out)) << Seed;
     if (Seed % 2) {
-      EXPECT_EQ(Out.R, Solver::Result::Sat);
+      EXPECT_EQ(Out.R, SolverResult::Sat);
       EXPECT_EQ(Out.ModelText, satOutcome(Seed).ModelText) << Seed;
     } else {
-      EXPECT_EQ(Out.R, Solver::Result::Unsat);
+      EXPECT_EQ(Out.R, SolverResult::Unsat);
     }
     EXPECT_EQ(Out.NumAtoms, Seed);
   }
@@ -220,10 +220,10 @@ TEST_F(QueryCacheDiskTest, ConcurrentInstancesInterleaveWholeRecords) {
   for (unsigned I = 0; I < PerWriter; ++I) {
     QueryCache::Outcome Out;
     ASSERT_TRUE(B.lookup({I, 1}, Out)) << I;
-    EXPECT_EQ(Out.R, Solver::Result::Sat);
+    EXPECT_EQ(Out.R, SolverResult::Sat);
     EXPECT_EQ(Out.ModelText, satOutcome(I).ModelText) << I;
     ASSERT_TRUE(B.lookup({I, 2}, Out)) << I;
-    EXPECT_EQ(Out.R, Solver::Result::Unsat);
+    EXPECT_EQ(Out.R, SolverResult::Unsat);
   }
 }
 

@@ -27,7 +27,7 @@
 
 #include "pipeline/Pipeline.h"
 #include "pipeline/Simplify.h"
-#include "smt/Solver.h"
+#include "smt/SolverContext.h"
 #include "smt/TermPrinter.h"
 #include "support/Trace.h"
 
@@ -179,11 +179,15 @@ private:
   std::vector<TermRef> BoolVars, IntVars, ArrVars, SetVars;
 };
 
-Solver::Result solveDirect(TermManager &TM, TermRef F) {
-  Solver::Options Opts;
+/// Solves \p F on the reference engine (fresh theory engines per full
+/// assignment), so the pipeline differential compares two engines.
+SolverResult solveDirect(TermManager &TM, TermRef F) {
+  SolverOptions Opts;
   Opts.MaxTheoryChecks = 20000;
-  Solver S(TM, Opts);
-  return S.checkSat(F);
+  Opts.Theory = TheoryMode::Rebuild;
+  SolverContext S(TM, Opts);
+  S.assertTerm(F);
+  return S.checkSat();
 }
 
 /// Model construction never gives up on a corpus: every Unknown is a
@@ -213,10 +217,10 @@ void runRewriteDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
         << ")\n"
         << printTerm(F);
 
-    Solver::Result Direct = solveDirect(TM, F);
-    Solver::Result Simp2 = solveDirect(TM, Simplified);
-    if (Direct != Solver::Result::Unknown &&
-        Simp2 != Solver::Result::Unknown) {
+    SolverResult Direct = solveDirect(TM, F);
+    SolverResult Simp2 = solveDirect(TM, Simplified);
+    if (Direct != SolverResult::Unknown &&
+        Simp2 != SolverResult::Unknown) {
       ++Decided;
       EXPECT_EQ(Direct, Simp2)
           << "simplification flipped the verdict (seed " << Seed
@@ -242,7 +246,7 @@ void runPipelineDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
     O.Claim = Gen.boolFormula(Depth);
     O.Description = "fuzz";
 
-    Solver::Result Direct =
+    SolverResult Direct =
         solveDirect(TM, TM.mkAnd(O.Guard, TM.mkNot(O.Claim)));
 
     Options Opts;
@@ -251,10 +255,10 @@ void runPipelineDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
     QueryCache Cache;
     Result R = solveObligations(TM, {O}, Opts, &Cache);
 
-    if (Direct == Solver::Result::Unknown || R.V == Verdict::Unknown)
+    if (Direct == SolverResult::Unknown || R.V == Verdict::Unknown)
       continue;
     ++Decided;
-    Verdict Expected = Direct == Solver::Result::Unsat ? Verdict::Proved
+    Verdict Expected = Direct == SolverResult::Unsat ? Verdict::Proved
                                                        : Verdict::Failed;
     EXPECT_EQ(R.V, Expected)
         << "pipeline flipped the verdict (seed " << Seed << ", iter " << I
@@ -302,14 +306,18 @@ void runModelExtension(uint32_t Seed, unsigned Iters, unsigned Depth,
     std::vector<Elimination> Eliminated;
     if (Simp.simplifyObligation(O.Guard, O.Claim, &Eliminated))
       continue;
-    Solver::Options Opts;
+    // On the reference engine (fresh theory engines per full
+    // assignment).
+    SolverOptions Opts;
     Opts.MaxTheoryChecks = 20000;
-    Solver Slv(TM, Opts);
-    Solver::Result Res = Slv.checkSat(TM.mkAnd(O.Guard, TM.mkNot(O.Claim)));
-    if (Res == Solver::Result::Unknown)
+    Opts.Theory = TheoryMode::Rebuild;
+    SolverContext Slv(TM, Opts);
+    Slv.assertTerm(TM.mkAnd(O.Guard, TM.mkNot(O.Claim)));
+    SolverResult Res = Slv.checkSat();
+    if (Res == SolverResult::Unknown)
       continue;
     ++Decided;
-    if (Res != Solver::Result::Sat)
+    if (Res != SolverResult::Sat)
       continue;
     Extended += !Eliminated.empty();
     Model M = Slv.model();

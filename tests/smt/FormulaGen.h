@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The seeded random formula generator behind the differential fuzzers
-/// (one-shot solver, pipeline transforms, incremental assertion stacks):
+/// (theory modes, pipeline transforms, incremental assertion stacks):
 /// quantifier-free formulas over booleans, linear Int arithmetic and
 /// Int->Int / Int->Bool arrays from a fixed small vocabulary. The draws
 /// come from the raw mt19937 engine so the corpus reproduces identically

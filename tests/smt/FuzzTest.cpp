@@ -7,14 +7,14 @@
 /// \file
 /// Randomized differential testing of the SMT solver: generate random
 /// quantifier-free formulas over booleans, linear Int arithmetic and
-/// Int->Int / Int->Bool arrays from a seeded PRNG, run Solver::checkSat,
-/// and cross-check every Sat answer by evaluating the original formula
-/// under the produced Model via Model::evaluate. A Sat verdict whose model
-/// does not satisfy the formula is a solver soundness bug.
+/// Int->Int / Int->Bool arrays from a seeded PRNG, check each on a fresh
+/// SolverContext, and cross-check every Sat answer by evaluating the
+/// original formula under the produced Model via Model::evaluate. A Sat
+/// verdict whose model does not satisfy the formula is a solver soundness
+/// bug.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "smt/Solver.h"
 #include "smt/SolverContext.h"
 #include "smt/TermPrinter.h"
 #include "support/Trace.h"
@@ -47,6 +47,18 @@ struct Counts {
   unsigned Sat = 0, Unsat = 0, Unknown = 0;
 };
 
+/// One check of \p F on a fresh context; \p ModelOut receives a Sat
+/// model.
+SolverResult solve(TermManager &TM, const SolverOptions &Opts, TermRef F,
+                   Model *ModelOut = nullptr) {
+  SolverContext S(TM, Opts);
+  S.assertTerm(F);
+  SolverResult R = S.checkSat();
+  if (ModelOut && R == SolverResult::Sat)
+    *ModelOut = S.model();
+  return R;
+}
+
 Counts runDifferential(uint32_t Seed, unsigned Iters, unsigned Depth) {
   NoGiveUps Guard;
   std::mt19937 Rng(Seed);
@@ -56,14 +68,14 @@ Counts runDifferential(uint32_t Seed, unsigned Iters, unsigned Depth) {
     FormulaGen Gen(TM, Rng);
     TermRef F = Gen.boolFormula(Depth);
 
-    Solver::Options Opts;
+    SolverOptions Opts;
     Opts.MaxTheoryChecks = 20000; // bound pathological instances
-    Solver S(TM, Opts);
-    Solver::Result R = S.checkSat(F);
+    Model M;
+    SolverResult R = solve(TM, Opts, F, &M);
     switch (R) {
-    case Solver::Result::Sat: {
+    case SolverResult::Sat: {
       ++C.Sat;
-      Value V = S.model().evaluate(F);
+      Value V = M.evaluate(F);
       EXPECT_EQ(V.K, Value::Kind::Bool)
           << "model evaluation of a Bool formula produced a non-Bool value "
           << "(seed " << Seed << ", iter " << I << ")\n"
@@ -71,13 +83,13 @@ Counts runDifferential(uint32_t Seed, unsigned Iters, unsigned Depth) {
       EXPECT_TRUE(V.B) << "solver said Sat but its model refutes the "
                        << "formula (seed " << Seed << ", iter " << I << ")\n"
                        << printTerm(F) << "\nmodel:\n"
-                       << S.model().toString();
+                       << M.toString();
       break;
     }
-    case Solver::Result::Unsat:
+    case SolverResult::Unsat:
       ++C.Unsat;
       break;
-    case Solver::Result::Unknown:
+    case SolverResult::Unknown:
       ++C.Unknown;
       break;
     }
@@ -108,8 +120,8 @@ TEST(SmtFuzzTest, DifferentialArrayHeavy) {
 /// soundness statement). Sat models on both sides are still validated
 /// against the formula. Returns the number of decided checks.
 unsigned runConfigDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
-                               const Solver::Options &OptsA,
-                               const Solver::Options &OptsB) {
+                               const SolverOptions &OptsA,
+                               const SolverOptions &OptsB) {
   NoGiveUps Guard;
   std::mt19937 Rng(Seed);
   unsigned Decided = 0;
@@ -118,33 +130,36 @@ unsigned runConfigDifferential(uint32_t Seed, unsigned Iters, unsigned Depth,
     FormulaGen Gen(TM, Rng);
     TermRef F = Gen.boolFormula(Depth);
 
-    Solver::Result RA = Solver(TM, OptsA).checkSat(F);
-    Solver::Result RB = Solver(TM, OptsB).checkSat(F);
+    SolverResult RA = solve(TM, OptsA, F);
+    SolverResult RB = solve(TM, OptsB, F);
     bool Mismatch =
-        (RA == Solver::Result::Sat && RB == Solver::Result::Unsat) ||
-        (RA == Solver::Result::Unsat && RB == Solver::Result::Sat);
+        (RA == SolverResult::Sat && RB == SolverResult::Unsat) ||
+        (RA == SolverResult::Unsat && RB == SolverResult::Sat);
     EXPECT_FALSE(Mismatch)
-        << "config A says " << (RA == Solver::Result::Sat ? "Sat" : "Unsat")
+        << "config A says " << (RA == SolverResult::Sat ? "Sat" : "Unsat")
         << ", config B says "
-        << (RB == Solver::Result::Sat ? "Sat" : "Unsat") << " (seed "
+        << (RB == SolverResult::Sat ? "Sat" : "Unsat") << " (seed "
         << Seed << ", iter " << I << ")\n"
         << printTerm(F);
-    if (RA != Solver::Result::Unknown && RB != Solver::Result::Unknown)
+    if (RA != SolverResult::Unknown && RB != SolverResult::Unknown)
       ++Decided;
   }
   return Decided;
 }
 
-Solver::Options fuzzOpts() {
-  Solver::Options Opts;
+/// The reference engine (fresh theory engines per full assignment).
+SolverOptions fuzzOpts() {
+  SolverOptions Opts;
   Opts.MaxTheoryChecks = 20000;
+  Opts.Theory = TheoryMode::Rebuild;
   return Opts;
 }
 
 TEST(SmtFuzzTest, EagerInstantiationDifferential) {
   // Blind quadratic array instantiation against the relevancy-driven
-  // default — the two one-shot array strategies must agree.
-  Solver::Options Eager = fuzzOpts();
+  // default — the two array strategies must agree on the reference
+  // engine.
+  SolverOptions Eager = fuzzOpts();
   Eager.EagerArrayInstantiation = true;
   unsigned Decided = runConfigDifferential(/*Seed=*/0xEA6E4, /*Iters=*/150,
                                            /*Depth=*/5, Eager, fuzzOpts());
@@ -152,9 +167,8 @@ TEST(SmtFuzzTest, EagerInstantiationDifferential) {
 }
 
 TEST(SmtFuzzTest, TheoryPropDifferential) {
-  // DPLL(T) theory propagation on vs off, both through the persistent
-  // SolverContext (propagation only runs in persistent mode — one-shot
-  // solves never take the partial-trail path). Propagation is an
+  // DPLL(T) theory propagation on vs off (TheoryMode::Propagate vs
+  // Lazy), both on the persistent theory engines. Propagation is an
   // optimization over the same theory stack: lazily explained reason
   // clauses, early conflicts and theory-aware branching must never flip
   // a verdict, and propagation-side Sat models must still satisfy the
@@ -171,7 +185,7 @@ TEST(SmtFuzzTest, TheoryPropDifferential) {
     SolverOptions PropOpts;
     PropOpts.MaxTheoryChecks = 20000;
     SolverOptions NoPropOpts = PropOpts;
-    NoPropOpts.TheoryPropagation = false;
+    NoPropOpts.Theory = TheoryMode::Lazy;
 
     SolverContext Prop(TM, PropOpts);
     Prop.assertTerm(F);

@@ -9,15 +9,15 @@
 /// assert / pop / check scripts over the shared formula corpus maintain an
 /// active assertion stack, and every check asserts each active formula on
 /// a fresh context, checks it once, and cross-checks the verdict against
-/// a one-shot solve of the active conjunction. A Sat-vs-Unsat disagreement
-/// is a soundness bug in the context (persistent theory trails, theory
-/// propagation, or the incremental array reducer across several
-/// assertions); Sat models are additionally
-/// validated against the active conjunction.
+/// a reference solve of the active conjunction: one assertion, on the
+/// reference engine (TheoryMode::Rebuild, fresh theory engines per full
+/// assignment). A Sat-vs-Unsat disagreement is a soundness bug in the
+/// context (persistent theory trails, theory propagation, or the
+/// incremental array reducer across several assertions); Sat models are
+/// additionally validated against the active conjunction.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "smt/Solver.h"
 #include "smt/SolverContext.h"
 #include "smt/TermPrinter.h"
 #include "support/Trace.h"
@@ -40,13 +40,20 @@ struct SeqCounts {
   unsigned Mismatches = 0;
 };
 
+SolverOptions referenceOpts() {
+  SolverOptions Opts;
+  Opts.Theory = TheoryMode::Rebuild;
+  return Opts;
+}
+
 /// Runs \p Sequences random assertion-stack scripts. Each script
 /// interleaves push/assert/pop with checks; every check solves the active
-/// formulas on a fresh context and is cross-checked one-shot.
+/// formulas on a fresh context and is cross-checked against the
+/// reference.
 SeqCounts runIncrementalDifferential(
     uint32_t Seed, unsigned Sequences, unsigned OpsPerSequence,
     unsigned Depth, const SolverOptions &CtxOpts = SolverOptions(),
-    const SolverOptions &RefOpts = SolverOptions()) {
+    const SolverOptions &RefOpts = referenceOpts()) {
   // Model construction never gives up on a corpus, on either side.
   trace::Counter &GiveUps = trace::counter("smt.model_give_ups");
   const uint64_t GiveUpsBefore = GiveUps.value();
@@ -72,10 +79,11 @@ SeqCounts runIncrementalDifferential(
       SolverResult Inc = Ctx.checkSat();
       TermRef Conj = TM.mkAnd(Active);
       TermManager Fresh;
-      SolverOptions OneShotOpts = RefOpts;
-      OneShotOpts.MaxTheoryChecks = Opts.MaxTheoryChecks;
-      Solver OneShot(Fresh, OneShotOpts);
-      SolverResult Ref = OneShot.checkSat(Fresh.import(Conj));
+      SolverOptions ReferenceOpts = RefOpts;
+      ReferenceOpts.MaxTheoryChecks = Opts.MaxTheoryChecks;
+      SolverContext Reference(Fresh, ReferenceOpts);
+      Reference.assertTerm(Fresh.import(Conj));
+      SolverResult Ref = Reference.checkSat();
       switch (Inc) {
       case SolverResult::Sat:
         ++C.Sat;
@@ -96,7 +104,7 @@ SeqCounts runIncrementalDifferential(
         ++C.Mismatches;
       EXPECT_FALSE(Mismatch)
           << "incremental " << (Inc == SolverResult::Sat ? "Sat" : "Unsat")
-          << " vs one-shot "
+          << " vs reference "
           << (Ref == SolverResult::Sat ? "Sat" : "Unsat") << " (seed "
           << Seed << ", sequence " << S << ", check " << C.Checks << ")\n"
           << printTerm(Conj);
@@ -169,11 +177,11 @@ TEST(IncrFuzzTest, DifferentialArrayHeavy) {
 }
 
 // The context's array demand closure, checked against the most
-// conservative one-shot reference (blind eager array instantiation).
+// conservative reference (blind eager array instantiation).
 
 TEST(IncrFuzzTest, DifferentialDemandClosure) {
   SolverOptions Ctx;
-  SolverOptions Ref;
+  SolverOptions Ref = referenceOpts();
   Ref.EagerArrayInstantiation = true;
   SeqCounts C = runIncrementalDifferential(/*Seed=*/0x5EED4, /*Sequences=*/80,
                                            /*OpsPerSequence=*/14,
@@ -184,13 +192,12 @@ TEST(IncrFuzzTest, DifferentialDemandClosure) {
 
 TEST(IncrFuzzTest, DifferentialTheoryProp) {
   // Theory propagation over multi-assertion contexts, against the
-  // propagation-free one-shot reference: lazily explained reasons,
+  // propagation-free reference engine: lazily explained reasons,
   // preRegister across several assertTerm calls and early theory
   // conflicts are all exercised at fuzz scale.
   SolverOptions Ctx;
-  Ctx.TheoryPropagation = true;
-  SolverOptions Ref;
-  Ref.TheoryPropagation = false;
+  Ctx.Theory = TheoryMode::Propagate;
+  SolverOptions Ref = referenceOpts();
   SeqCounts C = runIncrementalDifferential(/*Seed=*/0x5EED6, /*Sequences=*/100,
                                            /*OpsPerSequence=*/14,
                                            /*Depth=*/4, Ctx, Ref);

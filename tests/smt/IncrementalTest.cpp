@@ -14,7 +14,6 @@
 
 #include "smt/ArrayReduction.h"
 #include "smt/SolverContext.h"
-#include "smt/Solver.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -198,8 +197,8 @@ TEST(ArithLevelTest, SlackRowsSurvivePops) {
 // --------------------------------------------------------- ArrayReducer --
 
 TEST(ArrayReducerTest, MatchesOneShotLemmaSet) {
-  // The incremental reducer must reach the same lemma fixpoint as the
-  // one-shot reduceArrays for the same assertion set (modulo the fresh
+  // The reducer must reach the same lemma fixpoint whether the assertion
+  // set arrives in two calls or as one conjunction (modulo the fresh
   // witness variables, which both mint independently — this formula has
   // no negative array equality, so the sets must match exactly).
   TermManager TM;
@@ -211,13 +210,13 @@ TEST(ArrayReducerTest, MatchesOneShotLemmaSet) {
   TermRef F1 = TM.mkEq(TM.mkSelect(St, Y), TM.mkIntConst(7));
   TermRef F2 = TM.mkLt(TM.mkSelect(A, X), TM.mkIntConst(9));
 
-  ArrayReductionStats OneShot;
-  reduceArrays(TM, TM.mkAnd(F1, F2), &OneShot, /*Eager=*/false);
+  ArrayReducer OneShot(TM);
+  std::vector<TermRef> All = OneShot.assertFormula(TM.mkAnd(F1, F2));
 
   ArrayReducer R(TM);
   std::vector<TermRef> L1 = R.assertFormula(F1);
   std::vector<TermRef> L2 = R.assertFormula(F2);
-  EXPECT_EQ(L1.size() + L2.size(), OneShot.NumLemmas);
+  EXPECT_EQ(L1.size() + L2.size(), All.size());
 }
 
 // -------------------------------------------------------- SolverContext --
@@ -325,7 +324,7 @@ TEST_F(ContextTest, TheoryPropReasonsAcrossPop) {
   // contradiction makes conflict analysis consume the propagated
   // literal's lazily explained reason; without it the chain stays Sat.
   SolverOptions PropOpts = Opts;
-  PropOpts.TheoryPropagation = true;
+  PropOpts.Theory = TheoryMode::Propagate;
   TermRef A = TM.mkVar("a", TM.intSort());
   TermRef B = TM.mkVar("b", TM.intSort());
   TermRef C = TM.mkVar("c", TM.intSort());
@@ -350,9 +349,10 @@ TEST_F(ContextTest, TheoryPropReasonsAcrossPop) {
   EXPECT_EQ(checkFresh(TM, PropOpts, Chain), SolverResult::Sat);
 }
 
-TEST_F(ContextTest, AgreesWithOneShotOnConjunction) {
-  // Context verdicts must match a one-shot solve of the same conjunction
-  // at every step of a scripted grow/shrink sequence.
+TEST_F(ContextTest, AgreesWithReferenceOnConjunction) {
+  // Context verdicts must match a reference solve of the same
+  // conjunction, one assertion on the reference engine, at every step of
+  // a scripted grow/shrink sequence.
   TermRef X = TM.mkVar("x", TM.intSort());
   TermRef Y = TM.mkVar("y", TM.intSort());
   const Sort *IntBool = TM.getArraySort(TM.intSort(), TM.boolSort());
@@ -362,8 +362,10 @@ TEST_F(ContextTest, AgreesWithOneShotOnConjunction) {
   auto CrossCheck = [&]() {
     SolverResult Inc = checkFresh(TM, Opts, Active);
     TermManager Fresh;
-    Solver OneShot(Fresh);
-    SolverResult Ref = OneShot.checkSat(Fresh.import(TM.mkAnd(Active)));
+    SolverOptions RefOpts;
+    RefOpts.Theory = TheoryMode::Rebuild;
+    SolverResult Ref =
+        checkFresh(Fresh, RefOpts, {Fresh.import(TM.mkAnd(Active))});
     EXPECT_EQ(static_cast<int>(Inc), static_cast<int>(Ref));
   };
 

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "smt/Solver.h"
+#include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -18,22 +18,23 @@ class SolverTest : public ::testing::Test {
 protected:
   TermManager TM;
 
-  Solver::Result check(TermRef F) {
-    Solver S(TM);
+  SolverResult check(TermRef F) {
+    SolverContext S(TM, {});
+    S.assertTerm(F);
     LastModelText.clear();
-    Solver::Result R = S.checkSat(F);
-    if (R == Solver::Result::Sat)
+    SolverResult R = S.checkSat();
+    if (R == SolverResult::Sat)
       LastModelText = S.model().toString();
     return R;
   }
 
   /// Checks that F is valid by refuting its negation.
   void expectValid(TermRef F) {
-    EXPECT_EQ(check(TM.mkNot(F)), Solver::Result::Unsat)
+    EXPECT_EQ(check(TM.mkNot(F)), SolverResult::Unsat)
         << "not valid; counterexample:\n" << LastModelText;
   }
-  void expectSat(TermRef F) { EXPECT_EQ(check(F), Solver::Result::Sat); }
-  void expectUnsat(TermRef F) { EXPECT_EQ(check(F), Solver::Result::Unsat); }
+  void expectSat(TermRef F) { EXPECT_EQ(check(F), SolverResult::Sat); }
+  void expectUnsat(TermRef F) { EXPECT_EQ(check(F), SolverResult::Unsat); }
 
   std::string LastModelText;
 };
@@ -222,8 +223,9 @@ TEST_F(SolverTest, ModelEvaluationOnSat) {
   TermRef Y = TM.mkVar("y", TM.intSort());
   TermRef F = TM.mkAnd({TM.mkLt(X, Y), TM.mkLt(Y, TM.mkIntConst(10)),
                         TM.mkLt(TM.mkIntConst(5), X)});
-  Solver S(TM);
-  ASSERT_EQ(S.checkSat(F), Solver::Result::Sat);
+  SolverContext S(TM, {});
+  S.assertTerm(F);
+  ASSERT_EQ(S.checkSat(), SolverResult::Sat);
   Value V = S.model().eval(F);
   EXPECT_TRUE(V.B);
 }
@@ -249,7 +251,7 @@ TEST_F(SolverTest, QuantifiedModeFrameAxiom) {
   // The RQ3 "Dafny-style" frame axiom with an explicit quantifier:
   // (forall o. o notin Mod => M'[o] = M[o]) && x notin Mod
   //    => M'[x] = M[x]
-  Solver::Options Opts;
+  SolverOptions Opts;
   Opts.AllowQuantifiers = true;
   const Sort *ArrS = TM.getArraySort(TM.locSort(), TM.intSort());
   const Sort *SetS = TM.getArraySort(TM.locSort(), TM.boolSort());
@@ -264,20 +266,26 @@ TEST_F(SolverTest, QuantifiedModeFrameAxiom) {
   TermRef Claim = TM.mkImplies(
       TM.mkAnd(Frame, TM.mkNot(TM.mkMember(X, Mod))),
       TM.mkEq(TM.mkSelect(M2, X), TM.mkSelect(M, X)));
-  Solver S(TM, Opts);
-  EXPECT_EQ(S.checkSat(TM.mkNot(Claim)), Solver::Result::Unsat);
+  SolverContext S(TM, Opts);
+  S.assertTerm(TM.mkNot(Claim));
+  EXPECT_EQ(S.checkSat(), SolverResult::Unsat);
+  // The proof rests on ground instances of the frame axiom, and the
+  // context reports them (smt.instantiations).
+  EXPECT_GT(S.stats().Instantiations, 0u);
 }
 
 TEST_F(SolverTest, QuantifiedModeIncompleteSatIsUnknown) {
-  Solver::Options Opts;
+  SolverOptions Opts;
   Opts.AllowQuantifiers = true;
   TermRef O = TM.mkVar("ou", TM.locSort());
   TermRef X = TM.mkVar("xu", TM.locSort());
   // forall o. o = x — satisfiable (singleton domain); instantiation cannot
   // conclude, so the answer must be Unknown, never a wrong Unsat.
   TermRef F = TM.mkForall({O}, TM.mkEq(O, X));
-  Solver S(TM, Opts);
-  EXPECT_EQ(S.checkSat(F), Solver::Result::Unknown);
+  SolverContext S(TM, Opts);
+  S.assertTerm(F);
+  EXPECT_EQ(S.checkSat(), SolverResult::Unknown);
+  EXPECT_EQ(S.stats().Why, UnknownReason::Instantiation);
 }
 
 /// Property test: random formulas over bounded integer variables agree
@@ -338,10 +346,11 @@ TEST_F(SolverTest, PropertyRandomBoundedIntFormulas) {
           M.set(Vars[2], Value::ofInt(BigInt(C)));
           Expected = M.eval(Bounded).B;
         }
-    Solver S(TM);
-    Solver::Result R = S.checkSat(Bounded);
-    EXPECT_EQ(R == Solver::Result::Sat, Expected) << "iter " << Iter;
-    if (R == Solver::Result::Sat)
+    SolverContext S(TM, {});
+    S.assertTerm(Bounded);
+    SolverResult R = S.checkSat();
+    EXPECT_EQ(R == SolverResult::Sat, Expected) << "iter " << Iter;
+    if (R == SolverResult::Sat)
       EXPECT_TRUE(S.model().eval(Bounded).B);
   }
 }
